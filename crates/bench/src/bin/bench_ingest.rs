@@ -9,12 +9,14 @@
 //! `BENCH_ingest.json` at the repo root.
 //!
 //! The gated metric is the *lock round-trip reduction*, which is
-//! deterministic: the per-paragraph loop takes one `DBhash` stripe lock
-//! per hash and one `DBpar` stripe lock per paragraph, while the batched
-//! pass takes each touched stripe lock once per batch. Wall time is
-//! reported alongside but not gated — on a single core both shapes are
-//! bound by the same per-hash map work, so the wall-clock win only
-//! materialises with cores for the stripes (and the pool-parallel
+//! deterministic: every `observe_batch` call takes each touched stripe
+//! lock once, so the per-paragraph loop (one-entry batches) pays up to
+//! one `DBhash` lock per stripe plus one `DBpar` lock per paragraph,
+//! while the single batch pays each stripe lock once in total. Both
+//! counts are read from the stores' `batch_lock_acquisitions`. Wall
+//! time is reported alongside but not gated — on a single core both
+//! shapes are bound by the same per-hash map work, so the wall-clock win
+//! only materialises with cores for the stripes (and the pool-parallel
 //! fingerprint fan-out above this layer) to spread over.
 //!
 //! The floor defaults to 3.0x and can be overridden with
@@ -44,13 +46,13 @@ fn write_report(results: &[ingest::SizeResult]) {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"ingest\",\n  \
-         \"note\": \"per-paragraph observe loop vs one observe_batch call over the \
-         Algorithm 1 corpus; 'per_paragraph_locks' is one DBhash stripe round-trip \
-         per hash plus one DBpar round-trip per paragraph, 'batched_locks' is the \
-         store's batch_lock_acquisitions counter (one round-trip per touched stripe \
-         per batch); batched ingest is asserted observation-equivalent to the \
-         sequential loop before timing; lock_reduction is the CI-gated metric, wall \
-         times are informational (single-core hosts see parity)\",\n  \
+         \"note\": \"per-paragraph observe loop (one-entry batches) vs one \
+         observe_batch call over the Algorithm 1 corpus; both lock columns are the \
+         stores' batch_lock_acquisitions counters (one round-trip per touched \
+         stripe per call, so the loop pays up to one per DBhash stripe plus one \
+         DBpar round-trip per paragraph); batched ingest is asserted \
+         observation-equivalent to the loop before timing; lock_reduction is the \
+         CI-gated metric, wall times are informational\",\n  \
          \"sizes\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );

@@ -276,7 +276,7 @@ fn main() {
     let (batched, batch_hashes, batch_locks) = metrics.batch_totals();
     println!(
         "batched ingest: observations={batched} hashes_recorded={batch_hashes} \
-         lock_acquisitions={batch_locks} (per-observation ingest would have paid \
-         one round-trip per hash)",
+         lock_acquisitions={batch_locks} (one round-trip per hash would have paid \
+         hashes_recorded)",
     );
 }

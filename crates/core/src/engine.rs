@@ -370,8 +370,9 @@ impl DisclosureEngine {
         self.registry.read().ids.get(key).copied()
     }
 
-    /// Records (or re-records) a paragraph's fingerprint. `threshold`
-    /// falls back to the configured `Tpar` default. Returns the segment id.
+    /// Records (or re-records) a paragraph's fingerprint: a one-item
+    /// [`DisclosureEngine::observe_paragraphs`]. `threshold` falls back to
+    /// the configured `Tpar` default. Returns the segment id.
     pub fn observe_paragraph(
         &self,
         doc: &DocKey,
@@ -379,21 +380,14 @@ impl DisclosureEngine {
         text: &str,
         threshold: Option<f64>,
     ) -> SegmentId {
-        let key = SegmentKey::paragraph(doc.clone(), index);
-        let id = self.segment_id(&key);
-        let print = self.fingerprinter.fingerprint(text);
-        self.paragraphs
-            .observe(id, &print, threshold.unwrap_or(self.config.default_tpar));
-        self.cache.invalidate(id);
-        id
+        self.observe_paragraphs(doc, &[(index, text)], threshold)[0]
     }
 
     /// Bulk-ingests many paragraphs of one document through the batched
     /// store path.
     ///
-    /// Semantically identical to calling
-    /// [`DisclosureEngine::observe_paragraph`] per `(index, text)` pair,
-    /// but mechanically batched end to end: fingerprinting fans the
+    /// Semantically identical to observing each `(index, text)` pair in
+    /// turn, but mechanically batched end to end: fingerprinting fans the
     /// paragraphs out over the persistent worker pool (each worker runs
     /// the SIMD bulk kernel against its own thread-local scratch, see
     /// [`DisclosureEngine::fingerprint_kernel`]), and all observations
@@ -401,22 +395,18 @@ impl DisclosureEngine {
     /// stripe-lock round-trip per touched stripe instead of one per hash.
     /// This is the shape corpus ingest, document indexing and
     /// restore-verify use.
-    pub fn observe_paragraphs<'a, I>(
+    pub fn observe_paragraphs(
         &self,
         doc: &DocKey,
-        paragraphs: I,
+        paragraphs: &[(usize, &str)],
         threshold: Option<f64>,
-    ) -> Vec<SegmentId>
-    where
-        I: IntoIterator<Item = (usize, &'a str)>,
-    {
+    ) -> Vec<SegmentId> {
         let threshold = threshold.unwrap_or(self.config.default_tpar);
-        let items: Vec<(usize, &'a str)> = paragraphs.into_iter().collect();
-        let ids: Vec<SegmentId> = items
+        let ids: Vec<SegmentId> = paragraphs
             .iter()
             .map(|&(index, _)| self.segment_id(&SegmentKey::paragraph(doc.clone(), index)))
             .collect();
-        let prints = self.fingerprint_batch(&items);
+        let prints = self.fingerprint_batch(paragraphs);
         let entries: Vec<(SegmentId, &Fingerprint, f64)> = ids
             .iter()
             .zip(prints.iter())
@@ -993,11 +983,8 @@ mod tests {
         for (i, text) in &paragraphs {
             single_ids.push(singles.observe_paragraph(&doc, *i, text, None));
         }
-        let batch_ids = batched.observe_paragraphs(
-            &doc,
-            paragraphs.iter().map(|(i, t)| (*i, t.as_str())),
-            None,
-        );
+        let slots: Vec<(usize, &str)> = paragraphs.iter().map(|(i, t)| (*i, t.as_str())).collect();
+        let batch_ids = batched.observe_paragraphs(&doc, &slots, None);
         assert_eq!(batch_ids, single_ids);
         // Both ingests must answer checks identically.
         let probe = DocKey::new("gdocs", "draft");

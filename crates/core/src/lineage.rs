@@ -141,43 +141,13 @@ impl LineageGraph {
         Self::default()
     }
 
-    /// Records a flow edge, ticking the logical clock. Returns the stored
-    /// edge, or `None` when the identical flow (same source, sink,
-    /// segments and operation) was already recorded — the graph is
-    /// append-only and content-deduplicated.
-    pub fn record(
-        &self,
-        source: impl Into<String>,
-        sink: impl Into<String>,
-        segment: impl Into<String>,
-        into: impl Into<String>,
-        operation: FlowOperation,
-    ) -> Option<FlowEdge> {
-        let edge = FlowEdge {
-            source: source.into(),
-            sink: sink.into(),
-            segment: segment.into(),
-            into: into.into(),
-            operation,
-            clock: 0,
-        };
-        let key = edge_key(&edge);
-        let mut edges = self.edges.lock();
-        if edges.contains_key(&key) {
-            return None;
-        }
-        let clock = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        edges.insert(key, clock);
-        Some(FlowEdge { clock, ..edge })
-    }
-
     /// Records a batch of flow edges under **one** lock acquisition,
     /// drawing consecutive clock values in batch order (the lock is held
     /// across the whole batch, so no other recorder can interleave its
-    /// clocks). Duplicates — against the stored graph or an earlier entry
-    /// of the same batch — are skipped without consuming a clock, exactly
-    /// as repeated [`LineageGraph::record`] calls would skip them.
-    /// Returns the edges that were actually stored.
+    /// clocks). The graph is append-only and content-deduplicated: an
+    /// identical flow (same source, sink, segments and operation) —
+    /// already stored or earlier in the same batch — is skipped without
+    /// consuming a clock. Returns the edges that were actually stored.
     pub fn record_batch(
         &self,
         batch: Vec<(String, String, String, String, FlowOperation)>,
@@ -614,6 +584,26 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Records one edge as a one-entry batch; `None` if it was a duplicate.
+    fn record(
+        graph: &LineageGraph,
+        source: &str,
+        sink: &str,
+        segment: &str,
+        into: &str,
+        operation: FlowOperation,
+    ) -> Option<FlowEdge> {
+        graph
+            .record_batch(vec![(
+                source.into(),
+                sink.into(),
+                segment.into(),
+                into.into(),
+                operation,
+            )])
+            .pop()
+    }
+
     fn edge(source: &str, sink: &str, segment: &str, into: &str, clock: u64) -> FlowEdge {
         FlowEdge {
             source: source.into(),
@@ -628,60 +618,60 @@ mod tests {
     #[test]
     fn record_dedupes_identical_flows() {
         let graph = LineageGraph::new();
-        assert!(graph
-            .record(
-                "docs",
-                "wiki",
-                "docs/d#p0",
-                "wiki/w#p0",
-                FlowOperation::Observe
-            )
-            .is_some());
-        assert!(graph
-            .record(
-                "docs",
-                "wiki",
-                "docs/d#p0",
-                "wiki/w#p0",
-                FlowOperation::Observe
-            )
-            .is_none());
+        assert!(record(
+            &graph,
+            "docs",
+            "wiki",
+            "docs/d#p0",
+            "wiki/w#p0",
+            FlowOperation::Observe
+        )
+        .is_some());
+        assert!(record(
+            &graph,
+            "docs",
+            "wiki",
+            "docs/d#p0",
+            "wiki/w#p0",
+            FlowOperation::Observe
+        )
+        .is_none());
         assert_eq!(graph.len(), 1);
         assert_eq!(graph.clock(), 1);
         // A different operation is a different edge.
-        assert!(graph
-            .record(
-                "docs",
-                "wiki",
-                "docs/d#p0",
-                "wiki/w#p0",
-                FlowOperation::Check
-            )
-            .is_some());
+        assert!(record(
+            &graph,
+            "docs",
+            "wiki",
+            "docs/d#p0",
+            "wiki/w#p0",
+            FlowOperation::Check
+        )
+        .is_some());
         assert_eq!(graph.len(), 2);
     }
 
     #[test]
     fn trace_walks_multi_hop_chains_and_stops_at_origin() {
         let graph = LineageGraph::new();
-        let hop1 = graph
-            .record(
-                "docs",
-                "wiki",
-                "docs/d#p0",
-                "wiki/w#p0",
-                FlowOperation::Observe,
-            )
-            .unwrap();
-        let hop2 = graph
-            .record(
-                "wiki",
-                "itool",
-                "wiki/w#p0",
-                "itool/i#p0",
-                FlowOperation::Check,
-            )
-            .unwrap();
+        let hop1 = record(
+            &graph,
+            "docs",
+            "wiki",
+            "docs/d#p0",
+            "wiki/w#p0",
+            FlowOperation::Observe,
+        )
+        .unwrap();
+        let hop2 = record(
+            &graph,
+            "wiki",
+            "itool",
+            "wiki/w#p0",
+            "itool/i#p0",
+            FlowOperation::Check,
+        )
+        .unwrap();
         let sentinel = ExfiltrationSentinel::default();
         let chain = sentinel.trace(&graph, &hop2).expect("two-hop chain");
         assert_eq!(chain, vec![hop1.clone(), hop2]);
@@ -692,11 +682,9 @@ mod tests {
     #[test]
     fn trace_survives_cycles() {
         let graph = LineageGraph::new();
-        let _ = graph.record("a", "b", "a/x#p0", "b/y#p0", FlowOperation::Observe);
-        let _ = graph.record("b", "a", "b/y#p0", "a/x#p0", FlowOperation::Observe);
-        let last = graph
-            .record("a", "c", "a/x#p0", "c/z#p0", FlowOperation::Check)
-            .unwrap();
+        let _ = record(&graph, "a", "b", "a/x#p0", "b/y#p0", FlowOperation::Observe);
+        let _ = record(&graph, "b", "a", "b/y#p0", "a/x#p0", FlowOperation::Observe);
+        let last = record(&graph, "a", "c", "a/x#p0", "c/z#p0", FlowOperation::Check).unwrap();
         let sentinel = ExfiltrationSentinel::default();
         // Must terminate despite a↔b forming a cycle.
         let chain = sentinel.trace(&graph, &last).expect("chain");
@@ -706,14 +694,16 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_is_byte_identical() {
         let graph = LineageGraph::new();
-        graph.record(
+        record(
+            &graph,
             "docs",
             "wiki",
             "docs/d#p0",
             "wiki/w#p0",
             FlowOperation::Observe,
         );
-        graph.record(
+        record(
+            &graph,
             "wiki",
             "itool",
             "wiki/w#p0",
@@ -748,14 +738,16 @@ mod tests {
     #[test]
     fn truncation_matrix_fails_closed_for_every_prefix() {
         let graph = LineageGraph::new();
-        graph.record(
+        record(
+            &graph,
             "docs",
             "wiki",
             "docs/d#p0",
             "wiki/w#p0",
             FlowOperation::Observe,
         );
-        graph.record(
+        record(
+            &graph,
             "wiki",
             "itool",
             "wiki/w#p0",
@@ -776,7 +768,8 @@ mod tests {
     #[test]
     fn corruption_matrix_fails_closed_for_every_byte_flip() {
         let graph = LineageGraph::new();
-        graph.record(
+        record(
+            &graph,
             "docs",
             "wiki",
             "docs/d#p0",

@@ -207,12 +207,12 @@ impl ConcurrencyMetrics {
             + self.documents.segment_lock_contention
     }
 
-    /// Batched-ingest counters summed across both granularity stores:
-    /// `(observations, hashes_recorded, lock_acquisitions)`. The
-    /// per-observation path would have paid one lock round-trip per hash
-    /// plus one per segment write, so `hashes_recorded` minus
-    /// `lock_acquisitions` approximates the round-trips the batch path
-    /// saved.
+    /// Ingest counters summed across both granularity stores:
+    /// `(observations, hashes_recorded, lock_acquisitions)`. Every
+    /// observation goes through the batched store path; taking one lock
+    /// round-trip per hash would have cost `hashes_recorded`, so
+    /// `hashes_recorded` minus `lock_acquisitions` approximates the
+    /// round-trips batching saved.
     pub fn batch_totals(&self) -> (u64, u64, u64) {
         (
             self.paragraphs.batched_observes + self.documents.batched_observes,
@@ -325,10 +325,7 @@ mod tests {
         engine.check_paragraph(&doc, 1, "full text check");
         engine.observe_paragraphs(
             &doc,
-            [
-                (2usize, "one batched paragraph"),
-                (3, "another one entirely"),
-            ],
+            &[(2, "one batched paragraph"), (3, "another one entirely")],
             None,
         );
         engine.evict_paragraphs_older_than_now();

@@ -478,7 +478,7 @@ impl BrowserFlow {
             .enumerate()
             .map(|(index, segment)| (index, segment.text))
             .collect();
-        let ids = self.engine.observe_paragraphs(&doc, items, None);
+        let ids = self.engine.observe_paragraphs(&doc, &items, None);
         {
             let mut labels = self.labels.write();
             for &id in &ids {
@@ -540,9 +540,7 @@ impl BrowserFlow {
         self.policy.service(service)?;
         let label = self.policy.initial_label(service)?;
         let doc = DocKey::new(service.clone(), document);
-        let ids = self
-            .engine
-            .observe_paragraphs(&doc, paragraphs.iter().copied(), None);
+        let ids = self.engine.observe_paragraphs(&doc, paragraphs, None);
         let mut labels = self.labels.write();
         for &id in &ids {
             labels.insert(id, label.clone());

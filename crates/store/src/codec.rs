@@ -909,12 +909,6 @@ impl SealedStore {
         self.shards.len()
     }
 
-    /// The sealed manifest and shard entries (for file-per-entry
-    /// persistence).
-    pub(crate) fn parts(&self) -> (&SealedBytes, &[SealedBytes]) {
-        (&self.manifest, &self.shards)
-    }
-
     /// Total ciphertext bytes across the manifest and all shards.
     pub fn len(&self) -> usize {
         self.manifest.len() + self.shards.iter().map(SealedBytes::len).sum::<usize>()

@@ -73,11 +73,6 @@ pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use hash_db::{HashDb, Sighting, SightingOutcome};
 pub use incremental::IncrementalChecker;
 pub use intersect::intersection_count;
-#[allow(deprecated)]
-pub use persist::{
-    load_from_dir, load_sealed_from_dir, persist_sealed_store, persist_sealed_to_dir,
-    persist_to_dir,
-};
 pub use persist::{PersistError, PersistOptions, StoreFormat, StoreOpenOptions, TierMode};
 pub use segment_db::{SegmentDb, StoredSegment};
 pub use sharded::{BatchSightings, SegmentWrite, ShardedHashDb, ShardedSegmentDb};
@@ -160,15 +155,17 @@ pub struct StoreStats {
     pub tier_promoted_sightings: u64,
     /// Stripes rewritten as cold files by demotion sweeps.
     pub tier_demoted_shards: u64,
-    /// Observations ingested through [`FingerprintStore::observe_batch`]
-    /// (each batch entry counts once, mirroring `observe` call counts).
+    /// Observations ingested — every one goes through
+    /// [`FingerprintStore::observe_batch`] (a plain `observe` is a
+    /// one-entry batch), and each batch entry counts once.
     pub batched_observes: u64,
-    /// Stripe lock round-trips taken by batched ingest passes. The
-    /// per-observation path pays one round-trip per hash plus one per
-    /// segment write; the difference against `batch_hashes_recorded` is
-    /// the acquisitions the batching saved.
+    /// Stripe lock round-trips taken by all ingest passes: one per
+    /// touched `DBhash` stripe plus one per touched `DBpar` stripe, per
+    /// batch. Against `batch_hashes_recorded` (what one round-trip per
+    /// hash would have cost) it shows what batching saved.
     pub batch_lock_acquisitions: u64,
-    /// First-sighting records written through batched ingest passes.
+    /// Hash sightings submitted by all ingest passes (each observed
+    /// fingerprint's distinct hashes).
     pub batch_hashes_recorded: u64,
 }
 
@@ -192,9 +189,9 @@ impl StoreStats {
 ///
 /// The store is internally lock-striped ([`sharded`]): every method takes
 /// `&self` and the store is [`Sync`], so concurrent checkers and observers
-/// need no external lock. An individual [`FingerprintStore::observe`] is
-/// atomic per shard, not globally: a concurrent checker may see some of an
-/// in-flight observation's first sightings before its `DBpar` entry lands.
+/// need no external lock. An individual [`FingerprintStore::observe_batch`]
+/// is atomic per shard, not globally: a concurrent checker may see some of
+/// an in-flight batch's first sightings before its `DBpar` entries land.
 /// First-sighting ownership stays deterministic regardless, because each
 /// observation draws a unique logical timestamp and `DBhash` keeps the
 /// earliest per hash.
@@ -235,7 +232,8 @@ impl FingerprintStore {
         }
     }
 
-    /// Records (or re-records after an edit) the fingerprint of `segment`.
+    /// Records (or re-records after an edit) the fingerprint of `segment`:
+    /// a one-entry [`FingerprintStore::observe_batch`].
     ///
     /// Hashes never seen before anywhere are credited to `segment` as
     /// their authoritative first sighting, timestamped now. The segment's
@@ -245,84 +243,43 @@ impl FingerprintStore {
     ///
     /// `threshold` is the segment's disclosure threshold `T ∈ [0, 1]`
     /// (clamped).
-    ///
-    /// Alongside the first-sighting records, the observation maintains the
-    /// segment's **authoritative hash set** incrementally: each
-    /// [`SightingOutcome`] says whether the segment now owns the hash, and
-    /// a `Displaced` outcome names the previous owner whose stored
-    /// authoritative set is pruned in place. No per-check `DBhash` probing
-    /// is needed afterwards — candidate evaluation intersects the stored
-    /// sorted slices directly.
     pub fn observe(&self, segment: SegmentId, fingerprint: &Fingerprint, threshold: f64) {
-        let now = self.clock.tick();
-        let distinct = fingerprint.distinct_hashes();
-        let epoch_before = self.hashes.displacement_epoch();
-        let mut owned: Vec<u32> = Vec::with_capacity(distinct.len());
-        let mut revoked: Vec<(SegmentId, u32)> = Vec::new();
-        for &hash in distinct {
-            match self.hashes.record_sighting(hash, segment, now) {
-                SightingOutcome::Installed => owned.push(hash),
-                SightingOutcome::Displaced(previous) => {
-                    owned.push(hash);
-                    if previous != segment {
-                        revoked.push((previous, hash));
-                    }
-                }
-                SightingOutcome::Kept(owner) => {
-                    if owner == segment {
-                        owned.push(hash);
-                    }
-                }
-            }
-        }
-        self.segments.upsert(
-            segment,
-            distinct.to_vec(),
-            owned.clone(),
-            threshold.clamp(0.0, 1.0),
-            now,
-        );
-        for &(previous, hash) in &revoked {
-            self.segments.revoke_authoritative(previous, hash);
-        }
-        // A displacement that raced this observation (ours above, or a
-        // concurrent observer's out-of-order insert between our
-        // `record_sighting` and our `upsert`) may have invalidated
-        // ownership we just wrote. Displacements are rare — the epoch only
-        // moves on out-of-order inserts — so re-validate only when it did.
-        // The re-validation is revoke-only: it never *adds* authority, so
-        // it cannot resurrect a hash another thread revoked concurrently.
-        if self.hashes.displacement_epoch() != epoch_before {
-            for &hash in &owned {
-                if self.oldest_segment_with(hash) != Some(segment) {
-                    self.segments.revoke_authoritative(segment, hash);
-                }
-            }
-        }
+        self.observe_batch(&[(segment, fingerprint, threshold)]);
     }
 
     /// Records a whole batch of observations with one stripe lock
-    /// round-trip per touched stripe instead of one per hash.
+    /// round-trip per touched stripe instead of one per hash. This is the
+    /// store's only ingest path; [`FingerprintStore::observe`] is a
+    /// one-entry batch.
     ///
-    /// Semantically this is the sequential loop
-    /// `for (s, f, t) in entries { store.observe(s, f, t) }` — each entry
-    /// draws its own logical timestamp (one atomic clock advance reserves
-    /// the whole contiguous range), duplicate segments resolve
-    /// last-write-wins exactly as repeated `observe` calls do, and
-    /// first-sighting ownership, authoritative sets and revocations come
-    /// out identical (property-tested). The difference is purely
-    /// mechanical: sightings are grouped by hash stripe and `DBpar` writes
-    /// by segment stripe, so each stripe lock is taken once per batch, and
-    /// the displacement-epoch revalidation runs once over the whole batch
-    /// instead of once per entry.
+    /// Semantically the batch is its entries observed one after another:
+    /// each entry draws its own logical timestamp (one atomic clock
+    /// advance reserves the whole contiguous range), duplicate segments
+    /// resolve last-write-wins, and first-sighting ownership,
+    /// authoritative sets and revocations come out identical to a
+    /// per-hash sequential loop (property-tested against such a reference
+    /// in `tests/properties.rs`). Mechanically, sightings are grouped by
+    /// hash stripe and `DBpar` writes by segment stripe, so each stripe
+    /// lock is taken once per batch.
     ///
-    /// The end-of-batch revalidation is equivalent to the per-entry one
-    /// for a single writer: batch timestamps strictly increase, so within
-    /// the batch a hash's ownership can only move *from* a pre-batch
-    /// (cold) record *to* the first batch entry carrying it — never away
-    /// from a batch entry — leaving every per-entry check with the same
-    /// view the end-of-batch check has. Under concurrency it keeps the
-    /// same conservative revoke-only guarantee as [`FingerprintStore::observe`].
+    /// Alongside the first-sighting records, the batch maintains each
+    /// segment's **authoritative hash set** incrementally: the ownership
+    /// bitmap says which hashes the segment now owns, and every
+    /// displacement names the previous owner whose stored authoritative
+    /// set is pruned in place. No per-check `DBhash` probing is needed
+    /// afterwards — candidate evaluation intersects the stored sorted
+    /// slices directly.
+    ///
+    /// A displacement that races the batch (an out-of-order insert by a
+    /// concurrent observer between our sightings and our `DBpar` writes)
+    /// may invalidate ownership just written, so when the store's
+    /// displacement epoch moved the batch revalidates its owned hashes
+    /// once, after the grouped writes. For a single writer this matches a
+    /// per-entry check: batch timestamps strictly increase, so within the
+    /// batch a hash's ownership can only move *from* a pre-batch record
+    /// *to* the first batch entry carrying it — never away from a batch
+    /// entry. The revalidation is revoke-only: it never *adds* authority,
+    /// so it cannot resurrect a hash another thread revoked concurrently.
     pub fn observe_batch(&self, entries: &[(SegmentId, &Fingerprint, f64)]) {
         if entries.is_empty() {
             return;
@@ -330,52 +287,39 @@ impl FingerprintStore {
         let base = self.clock.tick_many(entries.len() as u64);
         let epoch_before = self.hashes.displacement_epoch();
 
-        // One `(segment, timestamp)` row per entry plus compact
-        // `(hash, entry)` pairs — `spans` maps the pair range back to its
-        // entry.
-        let meta: Vec<(SegmentId, Timestamp)> = entries
-            .iter()
-            .enumerate()
-            .map(|(index, (segment, _, _))| (*segment, Timestamp::new(base.get() + index as u64)))
-            .collect();
-        let total: usize = entries
-            .iter()
-            .map(|(_, f, _)| f.distinct_hashes().len())
-            .sum();
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(total);
-        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(entries.len());
-        for (index, (_, fingerprint, _)) in entries.iter().enumerate() {
-            let start = pairs.len();
-            for &hash in fingerprint.distinct_hashes() {
-                pairs.push((hash, index as u32));
-            }
-            spans.push((start, pairs.len()));
-        }
-        let sighted = self.hashes.record_sightings_indexed(&pairs, &meta);
+        // Entry `index` observes at `base + index`.
+        let time = |index: usize| Timestamp::new(base.get() + index as u64);
+        let sighted = self
+            .hashes
+            .record_sightings_indexed(entries, |index, entry| {
+                (entry.0, time(index), entry.1.distinct_hashes())
+            });
         let hash_locks = sighted.locks;
 
-        // Turn the ownership bitmap into the same `DBpar` write sequence
-        // the sequential loop would issue: upsert, then that entry's
+        // Turn the ownership bitmap into the `DBpar` write sequence of
+        // entries observed one at a time: upsert, then that entry's
         // revocations, then the next entry. Bucketing preserves
         // per-segment order, so interleavings against duplicate segments
         // resolve identically.
         let mut writes: Vec<SegmentWrite> = Vec::with_capacity(entries.len());
         let mut displaced = sighted.displaced.iter().peekable();
+        let mut end = 0;
         for (index, (segment, fingerprint, threshold)) in entries.iter().enumerate() {
-            let (start, end) = spans[index];
-            let mut owned: Vec<u32> = Vec::with_capacity(end - start);
-            for (&(hash, _), &is_owned) in pairs[start..end].iter().zip(&sighted.owned[start..end])
-            {
+            let hashes = fingerprint.distinct_hashes();
+            let start = end;
+            end += hashes.len();
+            let mut owned: Vec<u32> = Vec::with_capacity(hashes.len());
+            for (&hash, &is_owned) in hashes.iter().zip(&sighted.owned[start..end]) {
                 if is_owned {
                     owned.push(hash);
                 }
             }
             writes.push(SegmentWrite::Upsert {
                 segment: *segment,
-                hashes: fingerprint.distinct_hashes().to_vec(),
+                hashes: hashes.to_vec(),
                 authoritative: owned,
                 threshold: threshold.clamp(0.0, 1.0),
-                now: meta[index].1,
+                now: time(index),
             });
             // Displacements arrive in submission order, so this entry's
             // are exactly the next ones that fall inside its span.
@@ -387,28 +331,28 @@ impl FingerprintStore {
                 if previous != *segment {
                     writes.push(SegmentWrite::Revoke {
                         segment: previous,
-                        hash: pairs[at as usize].0,
+                        hash: hashes[at as usize - start],
                     });
                 }
             }
         }
         let mut segment_locks = self.segments.apply_writes_batch(writes);
 
-        // Revalidation, once over the whole batch (see the doc comment for
-        // why this matches the per-entry check for a single writer).
+        // Revalidation, once over the whole batch (see the doc comment).
+        // Displacements are rare — the epoch only moves on out-of-order
+        // inserts — so this is normally skipped.
         if self.hashes.displacement_epoch() != epoch_before {
             let mut revalidations: Vec<SegmentWrite> = Vec::new();
-            for (index, (segment, _, _)) in entries.iter().enumerate() {
-                let (start, end) = spans[index];
-                for (&(hash, _), &is_owned) in
-                    pairs[start..end].iter().zip(&sighted.owned[start..end])
-                {
-                    if is_owned && self.oldest_segment_with(hash) != Some(*segment) {
-                        revalidations.push(SegmentWrite::Revoke {
-                            segment: *segment,
-                            hash,
-                        });
-                    }
+            let sightings = entries.iter().flat_map(|(segment, fingerprint, _)| {
+                let segment = *segment;
+                fingerprint
+                    .distinct_hashes()
+                    .iter()
+                    .map(move |&hash| (segment, hash))
+            });
+            for ((segment, hash), &is_owned) in sightings.zip(&sighted.owned) {
+                if is_owned && self.oldest_segment_with(hash) != Some(segment) {
+                    revalidations.push(SegmentWrite::Revoke { segment, hash });
                 }
             }
             if !revalidations.is_empty() {
@@ -421,7 +365,7 @@ impl FingerprintStore {
         self.batch_lock_acquisitions
             .fetch_add(hash_locks + segment_locks, Ordering::Relaxed);
         self.batch_hashes_recorded
-            .fetch_add(pairs.len() as u64, Ordering::Relaxed);
+            .fetch_add(sighted.owned.len() as u64, Ordering::Relaxed);
     }
 
     /// Updates just the disclosure threshold of an already-observed
@@ -981,8 +925,8 @@ mod tests {
         assert!(stats.batch_hashes_recorded > 0);
         assert!(stats.batch_lock_acquisitions > 0);
         assert!(stats.batch_lock_acquisitions < stats.batch_hashes_recorded);
-        // The sequential store never used the batched path.
-        assert_eq!(sequential.stats().batched_observes, 0);
+        // `observe` is a one-entry batch, so the loop counts every entry.
+        assert_eq!(sequential.stats().batched_observes, texts.len() as u64);
     }
 
     #[test]

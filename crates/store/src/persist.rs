@@ -28,9 +28,8 @@
 //!
 //! # The builder pair
 //!
-//! [`PersistOptions`] and [`StoreOpenOptions`] replace the former 2×2
-//! spread of free functions (`persist_to_dir`/`load_from_dir` ×
-//! plain/sealed, which survive as deprecated shims):
+//! [`PersistOptions`] and [`StoreOpenOptions`] cover plain and sealed
+//! snapshots in every format:
 //!
 //! ```no_run
 //! use browserflow_store::{FingerprintStore, PersistOptions, StoreFormat, StoreOpenOptions, TierMode};
@@ -412,7 +411,7 @@ impl StoreOpenOptions {
     }
 
     /// Opens the snapshot at `path` — a directory written by
-    /// [`PersistOptions::persist`] (or its deprecated predecessors), or a
+    /// [`PersistOptions::persist`] (or the pre-0.7.0 free functions), or a
     /// single-file payload (plain v1/v2 bytes, or a sealed container).
     ///
     /// Degrades gracefully: shards that are missing, truncated, or
@@ -791,89 +790,6 @@ impl FingerprintStore {
     }
 }
 
-/// Persists the store to `dir` as a plain (unsealed) sharded snapshot.
-///
-/// # Errors
-///
-/// See [`PersistOptions::persist`].
-#[deprecated(
-    since = "0.7.0",
-    note = "use PersistOptions::new().persist(store, dir)"
-)]
-pub fn persist_to_dir(store: &FingerprintStore, dir: &Path) -> Result<(), PersistError> {
-    PersistOptions::new().persist(store, dir)
-}
-
-/// Persists the store to `dir` with every file sealed under `key`
-/// (encrypted at rest, §4.4).
-///
-/// # Errors
-///
-/// See [`PersistOptions::persist`].
-#[deprecated(
-    since = "0.7.0",
-    note = "use PersistOptions::sealed(key.clone()).persist(store, dir)"
-)]
-pub fn persist_sealed_to_dir(
-    store: &FingerprintStore,
-    key: &StoreKey,
-    dir: &Path,
-) -> Result<(), PersistError> {
-    PersistOptions::sealed(key.clone()).persist(store, dir)
-}
-
-/// Loads a plain snapshot, degrading gracefully per shard.
-///
-/// # Errors
-///
-/// See [`StoreOpenOptions::open`].
-#[deprecated(since = "0.7.0", note = "use StoreOpenOptions::new().open(dir)")]
-pub fn load_from_dir(dir: &Path) -> Result<(FingerprintStore, RestoreReport), PersistError> {
-    StoreOpenOptions::new().open(dir)
-}
-
-/// Loads a sealed snapshot, degrading gracefully per shard.
-///
-/// # Errors
-///
-/// See [`StoreOpenOptions::open`].
-#[deprecated(
-    since = "0.7.0",
-    note = "use StoreOpenOptions::sealed(key.clone()).open(dir)"
-)]
-pub fn load_sealed_from_dir(
-    key: &StoreKey,
-    dir: &Path,
-) -> Result<(FingerprintStore, RestoreReport), PersistError> {
-    StoreOpenOptions::sealed(key.clone()).open(dir)
-}
-
-/// Persists a [`SealedStore`] container (as produced by
-/// [`FingerprintStore::export_sealed`]) into `dir` as one file per entry.
-///
-/// # Errors
-///
-/// Returns [`PersistError::Io`] on filesystem failure.
-#[deprecated(
-    since = "0.7.0",
-    note = "use PersistOptions::sealed(key).persist(store, dir), which seals while writing"
-)]
-pub fn persist_sealed_store(sealed: &SealedStore, dir: &Path) -> Result<(), PersistError> {
-    fs::create_dir_all(dir)?;
-    let (manifest, shards) = sealed.parts();
-    for (index, shard) in shards.iter().enumerate() {
-        write_atomic(
-            &dir.join(format!("{}{SEALED_SUFFIX}", shard_file(index))),
-            &shard.to_bytes(),
-        )?;
-    }
-    write_atomic(
-        &dir.join(format!("{MANIFEST_FILE}{SEALED_SUFFIX}")),
-        &manifest.to_bytes(),
-    )?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -985,17 +901,5 @@ mod tests {
             Err(PersistError::Unsupported(_))
         ));
         assert!(!dir.exists());
-    }
-
-    #[test]
-    fn deprecated_shims_still_work() {
-        #![allow(deprecated)]
-        let dir = temp_dir("shims");
-        let store = sample_store();
-        persist_to_dir(&store, &dir).unwrap();
-        let (loaded, report) = load_from_dir(&dir).unwrap();
-        assert!(report.is_complete());
-        assert_eq!(loaded.segment_count(), store.segment_count());
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -54,6 +54,37 @@ pub(crate) fn default_shard_count() -> usize {
     cores.next_power_of_two().clamp(8, 64)
 }
 
+/// Stripe counts up to which the stripe counting sorts keep their
+/// per-stripe counters on the stack — the default count's ceiling, so a
+/// small batch (a one-entry `observe`) pays no heap allocation for them.
+const INLINE_STRIPES: usize = 64;
+
+/// Zeroed per-stripe counters for `stripes` stripes: borrowed from
+/// `inline` when they fit, from `heap` otherwise.
+fn stripe_counts<'a>(
+    stripes: usize,
+    inline: &'a mut [u32; INLINE_STRIPES],
+    heap: &'a mut Vec<u32>,
+) -> &'a mut [u32] {
+    if stripes <= INLINE_STRIPES {
+        &mut inline[..stripes]
+    } else {
+        heap.resize(stripes, 0);
+        heap
+    }
+}
+
+/// Turns per-stripe counts into run starts in place (exclusive prefix
+/// sum) — the middle step of the stripe counting sorts.
+fn prefix_starts(counts: &mut [u32]) {
+    let mut start = 0;
+    for slot in counts {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+}
+
 /// Acquires a read guard, counting the acquisition as contended if it
 /// could not be taken without blocking.
 macro_rules! read_shard {
@@ -302,8 +333,8 @@ pub struct ShardedHashDb {
     contended: Box<[AtomicU64]>,
     /// Bumped on every ownership displacement (an out-of-order insert that
     /// replaced an existing first sighting). Observers compare the epoch
-    /// around an observation to detect racing displacements and
-    /// re-validate their authoritative sets; see `FingerprintStore::observe`.
+    /// around a batch to detect racing displacements and re-validate their
+    /// authoritative sets; see `FingerprintStore::observe_batch`.
     displacements: AtomicU64,
     /// Cold sightings displaced into the hot tier since open.
     promoted: AtomicU64,
@@ -391,68 +422,66 @@ impl ShardedHashDb {
         &self,
         sightings: &[(u32, SegmentId, Timestamp)],
     ) -> BatchSightings {
-        let pairs: Vec<(u32, u32)> = sightings
-            .iter()
-            .enumerate()
-            .map(|(index, &(hash, _, _))| (hash, index as u32))
-            .collect();
-        let meta: Vec<(SegmentId, Timestamp)> = sightings
-            .iter()
-            .map(|&(_, segment, time)| (segment, time))
-            .collect();
-        self.record_sightings_indexed(&pairs, &meta)
+        self.record_sightings_indexed(sightings, |_, (hash, segment, time)| {
+            (*segment, *time, std::slice::from_ref(hash))
+        })
     }
 
-    /// The core of [`ShardedHashDb::record_sightings_batch`], with the
-    /// per-entry metadata factored out: `pairs` carries `(hash, entry)`
-    /// where `entry` indexes into `meta`'s `(segment, timestamp)` rows.
-    ///
-    /// Bulk callers whose entries each carry many hashes (a fingerprint's
-    /// worth) use this directly — 8 bytes per sighting instead of a
-    /// 24-byte triple keeps the partitioning pass memory-bound work to a
-    /// third. Semantics are exactly the general form's: sighting `i` of
-    /// `pairs` behaves like `record_sighting(pairs[i].0, meta[entry].0,
-    /// meta[entry].1)` issued in submission order.
-    pub fn record_sightings_indexed(
+    /// The core of [`ShardedHashDb::record_sightings_batch`] for bulk
+    /// callers whose entries each carry many hashes (a fingerprint's
+    /// worth): `row(i, &entries[i])` yields entry `i`'s
+    /// `(segment, timestamp, hashes)`, and the batch's sightings are the
+    /// entries' hashes in entry order. Semantics are exactly the general
+    /// form's: sighting `k` of that sequence behaves like
+    /// `record_sighting(hash, segment, timestamp)` issued in submission
+    /// order. Hashes are read straight from the entries, so the batch is
+    /// never copied into a flattened sighting list.
+    pub fn record_sightings_indexed<'e, E>(
         &self,
-        pairs: &[(u32, u32)],
-        meta: &[(SegmentId, Timestamp)],
+        entries: &'e [E],
+        row: impl Fn(usize, &'e E) -> (SegmentId, Timestamp, &'e [u32]),
     ) -> BatchSightings {
-        let shard_count = self.shards.len();
-        let mut counts = vec![0u32; shard_count];
-        let mut stripe_of: Vec<u16> = Vec::with_capacity(pairs.len());
-        for &(hash, _) in pairs {
-            let stripe = self.shard_of(hash);
-            stripe_of.push(stripe as u16);
-            counts[stripe] += 1;
-        }
-        let mut bounds = vec![0u32; shard_count + 1];
-        for stripe in 0..shard_count {
-            bounds[stripe + 1] = bounds[stripe] + counts[stripe];
-        }
+        let rows = || entries.iter().enumerate().map(|(entry, e)| row(entry, e));
         // Stable counting sort into contiguous per-stripe runs of
-        // `(hash, submission index, entry)`.
-        let mut cursor: Vec<u32> = bounds[..shard_count].to_vec();
-        let mut ordered: Vec<(u32, u32, u32)> = vec![(0, 0, 0); pairs.len()];
-        for (index, &(hash, entry)) in pairs.iter().enumerate() {
-            let stripe = stripe_of[index] as usize;
-            ordered[cursor[stripe] as usize] = (hash, index as u32, entry);
-            cursor[stripe] += 1;
+        // `(hash, submission index, entry)`. `ends[s]` holds stripe s's
+        // count, then its run start, then — after the scatter advanced it
+        // as the insertion cursor — its run end.
+        let (mut inline, mut heap) = ([0u32; INLINE_STRIPES], Vec::new());
+        let ends = stripe_counts(self.shards.len(), &mut inline, &mut heap);
+        let mut total = 0;
+        for (_, _, hashes) in rows() {
+            total += hashes.len();
+            for &hash in hashes {
+                ends[self.shard_of(hash)] += 1;
+            }
+        }
+        prefix_starts(ends);
+        let mut ordered: Vec<(u32, u32, u32)> = vec![(0, 0, 0); total];
+        let mut index = 0u32;
+        for (entry, (_, _, hashes)) in rows().enumerate() {
+            for &hash in hashes {
+                let cursor = &mut ends[self.shard_of(hash)];
+                ordered[*cursor as usize] = (hash, index, entry as u32);
+                *cursor += 1;
+                index += 1;
+            }
         }
 
-        let mut owned = vec![false; pairs.len()];
+        let mut owned = vec![false; total];
         let mut displaced: Vec<(u32, SegmentId)> = Vec::new();
         let mut locks = 0u64;
         let mut promotions = 0u64;
-        for stripe in 0..shard_count {
-            let (start, end) = (bounds[stripe] as usize, bounds[stripe + 1] as usize);
-            if start == end {
+        let mut start = 0;
+        for (stripe, &end) in ends.iter().enumerate() {
+            let run = &ordered[start..end as usize];
+            start = end as usize;
+            if run.is_empty() {
                 continue;
             }
             locks += 1;
             let mut guard = write_shard!(self, stripe);
-            for &(hash, index, entry) in &ordered[start..end] {
-                let (segment, time) = meta[entry as usize];
+            for &(hash, index, entry) in run {
+                let (segment, time, _) = row(entry as usize, &entries[entry as usize]);
                 let (outcome, promoted) = guard.record_sighting(hash, segment, time);
                 if promoted {
                     promotions += 1;
@@ -992,26 +1021,18 @@ impl ShardedSegmentDb {
         // values stay in place (their heap payloads never move) and each
         // stripe's pass pulls its writes out with `mem::replace`, so
         // grouping costs index traffic only, not a payload shuffle.
-        let shard_count = self.shards.len();
-        let mut counts = vec![0u32; shard_count];
-        let stripe_of: Vec<u16> = writes
-            .iter()
-            .map(|write| {
-                let stripe = self.shard_of(write.segment());
-                counts[stripe] += 1;
-                stripe as u16
-            })
-            .collect();
-        let mut bounds = vec![0u32; shard_count + 1];
-        for stripe in 0..shard_count {
-            bounds[stripe + 1] = bounds[stripe] + counts[stripe];
+        // `ends` works as in `record_sightings_indexed`.
+        let (mut inline, mut heap) = ([0u32; INLINE_STRIPES], Vec::new());
+        let ends = stripe_counts(self.shards.len(), &mut inline, &mut heap);
+        for write in &writes {
+            ends[self.shard_of(write.segment())] += 1;
         }
-        let mut cursor: Vec<u32> = bounds[..shard_count].to_vec();
+        prefix_starts(ends);
         let mut order: Vec<u32> = vec![0; writes.len()];
-        for (index, &stripe) in stripe_of.iter().enumerate() {
-            let at = &mut cursor[stripe as usize];
-            order[*at as usize] = index as u32;
-            *at += 1;
+        for (index, write) in writes.iter().enumerate() {
+            let cursor = &mut ends[self.shard_of(write.segment())];
+            order[*cursor as usize] = index as u32;
+            *cursor += 1;
         }
         let placeholder = || SegmentWrite::Revoke {
             segment: SegmentId::new(u64::MAX),
@@ -1019,14 +1040,16 @@ impl ShardedSegmentDb {
         };
         let mut locks = 0u64;
         let mut promotions = 0u64;
-        for stripe in 0..shard_count {
-            let (start, end) = (bounds[stripe] as usize, bounds[stripe + 1] as usize);
-            if start == end {
+        let mut start = 0;
+        for (stripe, &end) in ends.iter().enumerate() {
+            let run = &order[start..end as usize];
+            start = end as usize;
+            if run.is_empty() {
                 continue;
             }
             locks += 1;
             let mut guard = write_shard!(self, stripe);
-            for &index in &order[start..end] {
+            for &index in run {
                 let write = std::mem::replace(&mut writes[index as usize], placeholder());
                 match write {
                     SegmentWrite::Upsert {

@@ -27,12 +27,28 @@ fn populated_store(seed_sets: &[Vec<u32>]) -> FingerprintStore {
     store
 }
 
+/// Observes `entries` in order through `observe_batch` calls of
+/// `per_call` entries each (the last call takes the remainder).
+fn observe_in_batches(
+    store: &FingerprintStore,
+    entries: &[(SegmentId, Fingerprint, f64)],
+    per_call: usize,
+) {
+    for chunk in entries.chunks(per_call) {
+        let refs: Vec<(SegmentId, &Fingerprint, f64)> = chunk
+            .iter()
+            .map(|(id, print, t)| (*id, print, *t))
+            .collect();
+        store.observe_batch(&refs);
+    }
+}
+
 /// Quiescent consistency of the authoritative-set index: once the racing
 /// threads have joined, every segment's incrementally maintained
 /// authoritative set must equal the pre-index derivation (one `DBhash`
 /// probe per stored hash) — races may only ever delay revocation, never
-/// leave it wrong at rest.
-fn assert_index_quiescent(store: &FingerprintStore) {
+/// leave it wrong at rest. `per_call` names the batch size under test.
+fn assert_index_quiescent(store: &FingerprintStore, per_call: usize) {
     for id in store.segment_ids() {
         let stored = store.segment(id).expect("listed segment exists");
         let probed: HashSet<u32> = stored
@@ -44,7 +60,8 @@ fn assert_index_quiescent(store: &FingerprintStore) {
         assert_eq!(
             store.authoritative_fingerprint(id),
             probed,
-            "authoritative index diverged for segment {id:?} after the race"
+            "authoritative index diverged for segment {id:?} after the race \
+             ({per_call} entries per observe_batch call)"
         );
     }
 }
@@ -94,6 +111,12 @@ fn parallel_path_is_actually_taken_and_counted() {
 
 #[test]
 fn concurrent_writers_and_checkers_converge() {
+    for per_call in [1, 4] {
+        writers_and_checkers_converge(per_call);
+    }
+}
+
+fn writers_and_checkers_converge(per_call: usize) {
     const WRITERS: usize = 4;
     const CHECKERS: usize = 3;
     const PER_WRITER: u64 = 50;
@@ -103,13 +126,16 @@ fn concurrent_writers_and_checkers_converge() {
         for w in 0..WRITERS as u64 {
             let store = Arc::clone(&store);
             s.spawn(move || {
-                for i in 0..PER_WRITER {
-                    let id = w * PER_WRITER + i;
-                    // Writer-disjoint hash ranges keep final ownership easy
-                    // to assert; interleaving still contends on shards.
-                    let hashes: Vec<u32> = (0..4u32).map(|k| (id as u32) * 4 + k).collect();
-                    store.observe(SegmentId::new(id), &fingerprint_of(&hashes), 0.5);
-                }
+                // Writer-disjoint hash ranges keep final ownership easy
+                // to assert; interleaving still contends on shards.
+                let entries: Vec<(SegmentId, Fingerprint, f64)> = (0..PER_WRITER)
+                    .map(|i| {
+                        let id = w * PER_WRITER + i;
+                        let hashes: Vec<u32> = (0..4u32).map(|k| (id as u32) * 4 + k).collect();
+                        (SegmentId::new(id), fingerprint_of(&hashes), 0.5)
+                    })
+                    .collect();
+                observe_in_batches(&store, &entries, per_call);
             });
         }
         for c in 0..CHECKERS {
@@ -150,7 +176,7 @@ fn concurrent_writers_and_checkers_converge() {
     let parallel = store.disclosing_sources_with_workers(SegmentId::new(70_000), &probe, 8);
     assert_eq!(sequential, parallel);
     assert_eq!(sequential.len(), total as usize);
-    assert_index_quiescent(&store);
+    assert_index_quiescent(&store, per_call);
 }
 
 #[test]
@@ -174,11 +200,17 @@ fn concurrent_observers_of_the_same_hash_agree_on_one_owner() {
     assert_eq!(store.segment_count(), THREADS as usize);
     // Exactly one segment holds 42 in its authoritative set, and it is
     // the owner DBhash names.
-    assert_index_quiescent(&store);
+    assert_index_quiescent(&store, 1);
 }
 
 #[test]
 fn racing_overlapping_observers_keep_index_consistent() {
+    for per_call in [1, 4] {
+        racing_overlapping_observers(per_call);
+    }
+}
+
+fn racing_overlapping_observers(per_call: usize) {
     // Every hash is contested by several threads at once, so ownership is
     // displaced repeatedly while other observers are mid-flight — the
     // exact race the displacement-epoch revalidation exists for.
@@ -189,18 +221,17 @@ fn racing_overlapping_observers_keep_index_consistent() {
         for t in 0..THREADS {
             let store = Arc::clone(&store);
             s.spawn(move || {
-                for r in 0..ROUNDS {
-                    let base = ((t + r) % THREADS) as u32 * 8;
-                    let hashes: Vec<u32> = (base..base + 16).collect();
-                    store.observe(
-                        SegmentId::new(t * ROUNDS + r),
-                        &fingerprint_of(&hashes),
-                        0.4,
-                    );
-                }
+                let entries: Vec<(SegmentId, Fingerprint, f64)> = (0..ROUNDS)
+                    .map(|r| {
+                        let base = ((t + r) % THREADS) as u32 * 8;
+                        let hashes: Vec<u32> = (base..base + 16).collect();
+                        (SegmentId::new(t * ROUNDS + r), fingerprint_of(&hashes), 0.4)
+                    })
+                    .collect();
+                observe_in_batches(&store, &entries, per_call);
             });
         }
     });
     assert_eq!(store.segment_count(), (THREADS * ROUNDS) as usize);
-    assert_index_quiescent(&store);
+    assert_index_quiescent(&store, per_call);
 }

@@ -2,11 +2,10 @@
 # CI gate for the BrowserFlow workspace.
 #
 # Runs, in order:
-#   1. grep gates: deprecated persistence free functions stay quarantined
-#      in their definition site, no panicking worker expects in the
-#      pipeline, no per-hash DBhash probes inside Algorithm 1's candidate
-#      evaluation, no explicit-nonce sealing outside the encryption
-#      module's own tests
+#   1. grep gates: no allow(deprecated) in first-party code, no
+#      panicking worker expects in the pipeline, no per-hash DBhash
+#      probes inside Algorithm 1's candidate evaluation, no
+#      explicit-nonce sealing outside the encryption module's own tests
 #   2. rustfmt check over the first-party packages
 #   3. clippy with warnings (and the clippy::perf group) denied over the
 #      first-party packages
@@ -87,16 +86,12 @@ for pkg in "${FIRST_PARTY[@]}"; do
     pkg_flags+=(-p "$pkg")
 done
 
-echo "==> grep gate: deprecated persistence shims stay quarantined"
-# The 0.7.0 builder redesign left the old persistence free functions as
-# #[deprecated] shims in crates/store/src/persist.rs (exercised there by
-# one compat test, re-exported once from lib.rs). Every other first-party
-# call site must use PersistOptions / StoreOpenOptions — a new
-# allow(deprecated) anywhere else is someone dodging the migration.
-if grep -rn 'allow(deprecated)' crates examples tests --include='*.rs' \
-    | grep -v '^crates/store/src/persist.rs:' \
-    | grep -v '^crates/store/src/lib.rs:'; then
-    echo 'error: allow(deprecated) outside crates/store/src/{persist,lib}.rs — use the builder API' >&2
+echo "==> grep gate: no allow(deprecated) in first-party code"
+# The deprecated persistence shims of the 0.7.0 builder redesign were
+# removed in 0.11.0, so nothing first-party may silence a deprecation:
+# an allow(deprecated) anywhere is someone dodging a migration.
+if grep -rn 'allow(deprecated)' crates examples tests --include='*.rs'; then
+    echo 'error: allow(deprecated) in first-party code — migrate to the replacement API' >&2
     exit 1
 fi
 # The PR 2 check_upload/check_upload_batch wrappers are gone entirely; no
