@@ -1,31 +1,56 @@
-//! Concurrency benches for the sharded store: multi-threaded check
-//! throughput at 1/2/4/8 checker threads against the single-threaded
-//! baseline, the parallel Algorithm 1 fan-out at 1/2/4/8 workers, and the
-//! asynchronous pipeline's batch-vs-sequential round-trip comparison.
+//! Concurrency benches for the sharded store and the asynchronous
+//! pipeline: the batch-vs-sequential round-trip comparison of
+//! [`AsyncDecider`], plus the store's contention, eviction-sweep and
+//! batched-ingest counters after a corpus-shaped ingest.
 //!
-//! Besides the criterion timings, the harness writes the scaling series to
-//! `BENCH_concurrent.json` at the repository root, together with the
-//! machine's core count — on a single-core host the series is flat (there
-//! is no parallel speedup to harvest), so the JSON records the hardware
-//! context needed to interpret it.
+//! Besides the criterion timing, the harness writes both to
+//! `BENCH_concurrent.json` at the repository root through
+//! [`browserflow_bench::report`], which records the host's core count and
+//! commit beside them.
 
 use browserflow::{AsyncDecider, BrowserFlow, CheckRequest, EnforcementMode};
-use browserflow_bench::{algorithm1, warn_if_single_core};
+use browserflow_bench::{report, warn_if_single_core};
 use browserflow_corpus::TextGen;
 use browserflow_fingerprint::Fingerprinter;
-use browserflow_store::{codec, FingerprintStore, SegmentId, Timestamp};
+use browserflow_store::{FingerprintStore, SegmentId, Timestamp};
 use browserflow_tdm::Service;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::collections::HashSet;
-use std::sync::Arc;
+use criterion::{criterion_group, criterion_main, Criterion};
+use serde::Serialize;
 use std::time::Instant;
 
 const STORE_PARAGRAPHS: usize = 1_500;
-const CHECKS_PER_THREAD: usize = 40;
 /// Paragraphs per document-wide recheck in the async round-trip bench.
 const BATCH_PARAGRAPHS: usize = 32;
-/// Shard count for the v2 persistence round-trip bench.
-const PERSIST_SHARDS: usize = 16;
+
+#[derive(Serialize)]
+struct AsyncRoundtrip {
+    paragraphs: usize,
+    sequential_ms: f64,
+    batch_ms: f64,
+    speedup: f64,
+}
+
+#[derive(Serialize)]
+struct StoreCounters {
+    shard_count: usize,
+    hash_lock_contention: u64,
+    segment_lock_contention: u64,
+    hash_shard_contention: Vec<u64>,
+    segment_shard_contention: Vec<u64>,
+    eviction_sweeps: u64,
+    eviction_segments_scanned: u64,
+    eviction_segments_evicted: u64,
+    batched_observes: u64,
+    batch_hashes_recorded: u64,
+    batch_lock_acquisitions: u64,
+}
+
+#[derive(Serialize)]
+struct Report {
+    store_paragraphs: usize,
+    async_batch_roundtrip: AsyncRoundtrip,
+    store_counters: StoreCounters,
+}
 
 fn paragraphs(count: usize, seed: u64) -> Vec<String> {
     let mut gen = TextGen::new(seed);
@@ -45,36 +70,6 @@ fn filled_store(fp: &Fingerprinter, texts: &[String]) -> FingerprintStore {
         .collect();
     store.observe_batch(&entries);
     store
-}
-
-/// Runs `threads` checker threads, each performing `CHECKS_PER_THREAD`
-/// sequential Algorithm 1 checks against the shared store, and returns the
-/// wall-clock seconds for the whole batch.
-fn run_checker_batch(
-    store: &Arc<FingerprintStore>,
-    queries: &Arc<Vec<HashSet<u32>>>,
-    threads: usize,
-) -> f64 {
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let store = Arc::clone(store);
-            let queries = Arc::clone(queries);
-            s.spawn(move || {
-                for i in 0..CHECKS_PER_THREAD {
-                    let query = &queries[(t * CHECKS_PER_THREAD + i) % queries.len()];
-                    // One worker per check: this axis measures how well
-                    // independent checkers share the striped store.
-                    std::hint::black_box(store.disclosing_sources_with_workers(
-                        SegmentId::new(1_000_000 + t as u64),
-                        query,
-                        1,
-                    ));
-                }
-            });
-        }
-    });
-    start.elapsed().as_secs_f64()
 }
 
 /// Measures the asynchronous pipeline's round-trip cost: the same 32
@@ -133,230 +128,30 @@ fn run_async_roundtrip() -> (f64, f64) {
     (sequential, batch)
 }
 
-/// Serialises the store with the sharded v2 codec and times the decode at
-/// one worker versus eight: the per-shard records are independent, so the
-/// parallel load scales with cores. Returns
-/// `(blob_bytes, encode_secs, decode_1_worker_secs, decode_8_workers_secs)`,
-/// each timing the best of three passes.
-fn run_persist_roundtrip(store: &FingerprintStore) -> (usize, f64, f64, f64) {
-    let best_of_3 = |f: &dyn Fn() -> f64| (0..3).map(|_| f()).fold(f64::INFINITY, f64::min);
-    // Warm-up encode, then the measured passes.
-    let blob = codec::encode_v2_with_shards(store, PERSIST_SHARDS).expect("store fits the format");
-    let encode = best_of_3(&|| {
-        let start = Instant::now();
-        std::hint::black_box(
-            codec::encode_v2_with_shards(store, PERSIST_SHARDS).expect("store fits the format"),
-        );
-        start.elapsed().as_secs_f64()
-    });
-    let decode_at = |workers: usize| {
-        codec::decode_with_workers(&blob, workers).expect("blob decodes");
-        best_of_3(&|| {
-            let start = Instant::now();
-            std::hint::black_box(codec::decode_with_workers(&blob, workers).expect("blob decodes"));
-            start.elapsed().as_secs_f64()
-        })
-    };
-    (blob.len(), encode, decode_at(1), decode_at(8))
-}
-
-fn write_report(
-    checker_series: &[(usize, f64)],
-    fanout_series: &[(usize, f64)],
-    baseline_checks_per_sec: f64,
-    async_roundtrip: (f64, f64),
-    persist: (usize, f64, f64, f64),
-    algorithm1_results: &[algorithm1::SizeResult],
-    store: &FingerprintStore,
-) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let checker_json: Vec<String> = checker_series
-        .iter()
-        .map(|(threads, secs)| {
-            let total = (threads * CHECKS_PER_THREAD) as f64;
-            format!(
-                "    {{\"threads\": {threads}, \"total_checks\": {}, \"wall_s\": {secs:.6}, \
-                 \"checks_per_sec\": {:.1}, \"speedup_vs_1_thread\": {:.3}}}",
-                total as u64,
-                total / secs,
-                (total / secs) / baseline_checks_per_sec
-            )
-        })
-        .collect();
-    let fanout_json: Vec<String> = fanout_series
-        .iter()
-        .map(|(workers, secs)| {
-            format!(
-                "    {{\"workers\": {workers}, \"mean_check_ms\": {:.4}}}",
-                secs * 1e3
-            )
-        })
-        .collect();
-    // One sweep with a cutoff below every observation timestamp: the scan
-    // counters show the cost of an eviction pass without evicting data.
+/// The store's counters after one eviction sweep whose cutoff lies below
+/// every observation timestamp: the scan counters show the cost of an
+/// eviction pass without evicting data.
+fn store_counters(store: &FingerprintStore) -> StoreCounters {
     store.evict_older_than(Timestamp::ZERO);
     let stats = store.stats();
-    let shard_list = |counts: &[u64]| {
-        counts
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let store_json = format!(
-        "{{\"shard_count\": {}, \"hash_lock_contention\": {}, \
-         \"segment_lock_contention\": {}, \"hash_shard_contention\": [{}], \
-         \"segment_shard_contention\": [{}], \"eviction_sweeps\": {}, \
-         \"eviction_segments_scanned\": {}, \"eviction_segments_evicted\": {}, \
-         \"batched_observes\": {}, \"batch_hashes_recorded\": {}, \
-         \"batch_lock_acquisitions\": {}}}",
-        stats.shard_count,
-        stats.hash_lock_contention,
-        stats.segment_lock_contention,
-        shard_list(&stats.hash_shard_contention),
-        shard_list(&stats.segment_shard_contention),
-        stats.eviction_scans,
-        stats.eviction_scanned,
-        stats.eviction_evicted,
-        stats.batched_observes,
-        stats.batch_hashes_recorded,
-        stats.batch_lock_acquisitions,
-    );
-    let (seq_secs, batch_secs) = async_roundtrip;
-    let async_json = format!(
-        "{{\"paragraphs\": {BATCH_PARAGRAPHS}, \"sequential_ms\": {:.4}, \
-         \"batch_ms\": {:.4}, \"speedup\": {:.2}}}",
-        seq_secs * 1e3,
-        batch_secs * 1e3,
-        seq_secs / batch_secs
-    );
-    let algorithm1_json: Vec<String> = algorithm1_results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"paragraphs\": {}, \"target_hashes\": {}, \"reports\": {}, \
-                 \"probe_ms\": {:.4}, \"indexed_ms\": {:.4}, \"speedup\": {:.2}}}",
-                r.paragraphs,
-                r.target_hashes,
-                r.reports,
-                r.probe_ms,
-                r.indexed_ms,
-                r.speedup()
-            )
-        })
-        .collect();
-    let (blob_bytes, encode_secs, decode_1, decode_8) = persist;
-    let persist_json = format!(
-        "{{\"shards\": {PERSIST_SHARDS}, \"blob_bytes\": {blob_bytes}, \
-         \"encode_ms\": {:.4}, \"decode_1_worker_ms\": {:.4}, \
-         \"decode_8_workers_ms\": {:.4}, \"parallel_load_speedup\": {:.2}}}",
-        encode_secs * 1e3,
-        decode_1 * 1e3,
-        decode_8 * 1e3,
-        decode_1 / decode_8
-    );
-    let json = format!(
-        "{{\n  \"bench\": \"concurrent\",\n  \"host_cores\": {cores},\n  \
-         \"store_paragraphs\": {STORE_PARAGRAPHS},\n  \
-         \"note\": \"speedups are bounded by host_cores; a flat series on a \
-         single-core host reflects the hardware, not the implementation; \
-         async_batch_roundtrip compares 32 sequential blocking checks (32 worker \
-         round-trips) against one batched CheckRequest (1 round-trip); \
-         persist_roundtrip decodes one sharded v2 store blob at 1 vs 8 workers; \
-         algorithm1 compares the probe-based pre-index reference against the \
-         authoritative-set index + sorted-slice intersection kernel on identical \
-         stores (speedup is layout-driven, not core-count-driven)\",\n  \
-         \"checker_thread_scaling\": [\n{}\n  ],\n  \
-         \"algorithm1_fanout\": [\n{}\n  ],\n  \
-         \"algorithm1\": [\n{}\n  ],\n  \
-         \"async_batch_roundtrip\": {async_json},\n  \
-         \"persist_roundtrip\": {persist_json},\n  \
-         \"store_counters\": {store_json}\n}}\n",
-        checker_json.join(",\n"),
-        fanout_json.join(",\n"),
-        algorithm1_json.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_concurrent.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
+    StoreCounters {
+        shard_count: stats.shard_count,
+        hash_lock_contention: stats.hash_lock_contention,
+        segment_lock_contention: stats.segment_lock_contention,
+        hash_shard_contention: stats.hash_shard_contention,
+        segment_shard_contention: stats.segment_shard_contention,
+        eviction_sweeps: stats.eviction_scans,
+        eviction_segments_scanned: stats.eviction_scanned,
+        eviction_segments_evicted: stats.eviction_evicted,
+        batched_observes: stats.batched_observes,
+        batch_hashes_recorded: stats.batch_hashes_recorded,
+        batch_lock_acquisitions: stats.batch_lock_acquisitions,
     }
 }
 
-fn bench_concurrent_checkers(c: &mut Criterion) {
+fn bench_concurrent(c: &mut Criterion) {
     warn_if_single_core();
-    let fp = Fingerprinter::default();
-    let texts = paragraphs(STORE_PARAGRAPHS, 17);
-    let store = Arc::new(filled_store(&fp, &texts));
-    // Half the queries hit stored content, half are novel.
-    let queries: Arc<Vec<HashSet<u32>>> = Arc::new(
-        texts
-            .iter()
-            .step_by(10)
-            .map(|t| fp.fingerprint(t).hash_set())
-            .chain(
-                paragraphs(16, 900_000)
-                    .iter()
-                    .map(|t| fp.fingerprint(t).hash_set()),
-            )
-            .collect(),
-    );
-
-    let mut checker_series = Vec::new();
-    let mut group = c.benchmark_group("concurrent-checkers");
-    for threads in [1usize, 2, 4, 8] {
-        // Warm-up pass, then three measured passes; keep the best.
-        run_checker_batch(&store, &queries, threads);
-        let secs = (0..3)
-            .map(|_| run_checker_batch(&store, &queries, threads))
-            .fold(f64::INFINITY, f64::min);
-        checker_series.push((threads, secs));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{threads}-threads")),
-            &threads,
-            |b, &threads| b.iter(|| run_checker_batch(&store, &queries, threads)),
-        );
-    }
-    group.finish();
-
-    // Parallel Algorithm 1 fan-out: one broad check with many candidates.
-    let broad: HashSet<u32> = texts
-        .iter()
-        .take(200)
-        .flat_map(|t| fp.fingerprint(t).hash_set())
-        .collect();
-    let mut fanout_series = Vec::new();
-    let mut group = c.benchmark_group("algorithm1-fanout");
-    for workers in [1usize, 2, 4, 8] {
-        store.disclosing_sources_with_workers(SegmentId::new(2_000_000), &broad, workers);
-        let start = Instant::now();
-        const ROUNDS: usize = 5;
-        for _ in 0..ROUNDS {
-            std::hint::black_box(store.disclosing_sources_with_workers(
-                SegmentId::new(2_000_000),
-                &broad,
-                workers,
-            ));
-        }
-        fanout_series.push((workers, start.elapsed().as_secs_f64() / ROUNDS as f64));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{workers}-workers")),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    store.disclosing_sources_with_workers(
-                        SegmentId::new(2_000_000),
-                        &broad,
-                        workers,
-                    )
-                })
-            },
-        );
-    }
-    group.finish();
+    let store = filled_store(&Fingerprinter::default(), &paragraphs(STORE_PARAGRAPHS, 17));
 
     // Async pipeline round-trip comparison: warm-up pass, then keep the
     // best of three (least-noise estimate of the fixed overhead).
@@ -376,48 +171,24 @@ fn bench_concurrent_checkers(c: &mut Criterion) {
         best.0 / best.1
     );
 
-    // Sharded persistence round-trip: encode once, decode at 1 vs 8
-    // workers over the same v2 blob.
-    let persist = run_persist_roundtrip(&store);
-    let mut group = c.benchmark_group("persist-roundtrip");
-    group.bench_function(format!("decode-{PERSIST_SHARDS}-shards"), |b| {
-        let blob = codec::encode_v2_with_shards(&store, PERSIST_SHARDS).expect("store fits");
-        b.iter(|| codec::decode_with_workers(&blob, 8).expect("blob decodes"))
-    });
-    group.finish();
-    println!(
-        "persist round-trip: {} shards, {} bytes, encode {:.3} ms, decode {:.3} ms (1 worker) \
-         / {:.3} ms (8 workers)",
-        PERSIST_SHARDS,
-        persist.0,
-        persist.1 * 1e3,
-        persist.2 * 1e3,
-        persist.3 * 1e3
-    );
-
-    // Old-vs-new candidate evaluation on dedicated synthetic stores (the
-    // same sweep `bench_algorithm1` gates in CI).
-    let algorithm1_results = algorithm1::run(algorithm1::STORE_SIZES);
-    for r in &algorithm1_results {
-        println!(
-            "algorithm1: {} paragraphs, probe {:.3} ms, indexed {:.3} ms, speedup {:.2}x",
-            r.paragraphs,
-            r.probe_ms,
-            r.indexed_ms,
-            r.speedup()
-        );
-    }
-
-    let (_, base_secs) = checker_series[0];
-    let baseline = CHECKS_PER_THREAD as f64 / base_secs;
-    write_report(
-        &checker_series,
-        &fanout_series,
-        baseline,
-        best,
-        persist,
-        &algorithm1_results,
-        &store,
+    report::write(
+        "concurrent",
+        "async_batch_roundtrip compares 32 sequential blocking checks (32 worker \
+         round-trips) against one batched CheckRequest (1 round-trip), best of 3 \
+         after a warm-up; store_counters are the striped store's contention, \
+         eviction-sweep and batched-ingest counters after one batched ingest of \
+         store_paragraphs corpus paragraphs and one no-op eviction sweep (the \
+         ingest is single-threaded, so the contention counters read 0)",
+        &Report {
+            store_paragraphs: STORE_PARAGRAPHS,
+            async_batch_roundtrip: AsyncRoundtrip {
+                paragraphs: BATCH_PARAGRAPHS,
+                sequential_ms: best.0 * 1e3,
+                batch_ms: best.1 * 1e3,
+                speedup: best.0 / best.1,
+            },
+            store_counters: store_counters(&store),
+        },
     );
 }
 
@@ -431,6 +202,6 @@ fn quick() -> Criterion {
 criterion_group!(
     name = benches;
     config = quick();
-    targets = bench_concurrent_checkers
+    targets = bench_concurrent
 );
 criterion_main!(benches);

@@ -25,9 +25,10 @@
 //! Run with `--release`.
 
 use browserflow::{DisclosureEngine, DocKey, EngineConfig, TextEdit};
-use browserflow_bench::print_header;
+use browserflow_bench::{env_floor, print_header, report};
 use browserflow_corpus::TextGen;
 use browserflow_fingerprint::{detected_kernel, force_scalar, KernelKind};
+use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -85,32 +86,32 @@ struct PathCost {
     allocs_per_check: u64,
 }
 
-/// One row of the keystroke sweep.
+/// One row of the keystroke sweep: the full path on the native
+/// (runtime-detected) kernel and pinned to the scalar kernel, against the
+/// incremental path.
+#[derive(Serialize)]
 struct SizeResult {
     paragraph_chars: usize,
-    /// Full path pinned to the scalar kernel.
-    full_scalar: PathCost,
-    /// Full path on the native (runtime-detected) kernel.
-    full: PathCost,
-    incremental: PathCost,
-}
-
-impl SizeResult {
-    fn speedup(&self) -> f64 {
-        self.full.us_per_check / self.incremental.us_per_check
-    }
-
-    fn simd_speedup(&self) -> f64 {
-        self.full_scalar.us_per_check / self.full.us_per_check
-    }
+    full_us_per_check: f64,
+    full_scalar_us_per_check: f64,
+    /// Scalar / native full-path latency.
+    simd_speedup: f64,
+    incremental_us_per_check: f64,
+    /// Native full-path / incremental latency.
+    speedup: f64,
+    full_allocs_per_check: u64,
+    incremental_allocs_per_check: u64,
 }
 
 /// The corpus bulk-ingest series (scalar vs native kernel).
+#[derive(Serialize)]
 struct BulkResult {
     paragraphs: usize,
     total_chars: usize,
     scalar_us_per_paragraph: f64,
     native_us_per_paragraph: f64,
+    simd_speedup: f64,
+    native_paragraphs_per_sec: f64,
     /// Exact allocations per paragraph of the batched observe path
     /// (`DisclosureEngine::observe_paragraphs`), native kernel.
     batched_allocs_per_paragraph: u64,
@@ -119,14 +120,12 @@ struct BulkResult {
     single_allocs_per_paragraph: u64,
 }
 
-impl BulkResult {
-    fn simd_speedup(&self) -> f64 {
-        self.scalar_us_per_paragraph / self.native_us_per_paragraph
-    }
-
-    fn native_paragraphs_per_sec(&self) -> f64 {
-        1e6 / self.native_us_per_paragraph
-    }
+#[derive(Serialize)]
+struct Report {
+    keystrokes_per_size: usize,
+    library_paragraphs: usize,
+    sizes: Vec<SizeResult>,
+    bulk_ingest: BulkResult,
 }
 
 /// Pins the fingerprint kernel and asserts the engine reports exactly the
@@ -267,9 +266,13 @@ fn measure(size: usize) -> SizeResult {
 
     SizeResult {
         paragraph_chars: size,
-        full_scalar,
-        full,
-        incremental,
+        full_us_per_check: full.us_per_check,
+        full_scalar_us_per_check: full_scalar.us_per_check,
+        simd_speedup: full_scalar.us_per_check / full.us_per_check,
+        incremental_us_per_check: incremental.us_per_check,
+        speedup: full.us_per_check / incremental.us_per_check,
+        full_allocs_per_check: full.allocs_per_check,
+        incremental_allocs_per_check: incremental.allocs_per_check,
     }
 }
 
@@ -339,73 +342,15 @@ fn measure_bulk() -> BulkResult {
         total_chars,
         scalar_us_per_paragraph: scalar,
         native_us_per_paragraph: native,
+        simd_speedup: scalar / native,
+        native_paragraphs_per_sec: 1e6 / native,
         batched_allocs_per_paragraph: batched_allocs,
         single_allocs_per_paragraph: single_allocs,
     }
 }
 
-fn write_report(results: &[SizeResult], bulk: &BulkResult, kernel: KernelKind) {
-    let rows: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"paragraph_chars\": {}, \"full_us_per_check\": {:.3}, \
-                 \"full_scalar_us_per_check\": {:.3}, \"simd_speedup\": {:.2}, \
-                 \"incremental_us_per_check\": {:.3}, \"speedup\": {:.2}, \
-                 \"full_allocs_per_check\": {}, \"incremental_allocs_per_check\": {}}}",
-                r.paragraph_chars,
-                r.full.us_per_check,
-                r.full_scalar.us_per_check,
-                r.simd_speedup(),
-                r.incremental.us_per_check,
-                r.speedup(),
-                r.full.allocs_per_check,
-                r.incremental.allocs_per_check
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"fingerprint\",\n  \"kernel\": \"{}\",\n  \
-         \"keystrokes_per_size\": {KEYSTROKES},\n  \
-         \"library_paragraphs\": {LIBRARY_PARAGRAPHS},\n  \
-         \"note\": \"per-keystroke disclosure check; 'full' re-fingerprints the whole \
-         paragraph (DisclosureEngine::check_paragraph) on the runtime-detected kernel, \
-         'full_scalar' is the same path pinned to the scalar kernel (BF_FORCE_SCALAR), \
-         'incremental' splices one edit into the keystroke session and re-winnows only \
-         the dirty window (DisclosureEngine::apply_paragraph_edit); allocations counted \
-         by a global counting allocator, so they are exact\",\n  \
-         \"sizes\": [\n{}\n  ],\n  \
-         \"bulk_ingest\": {{\"paragraphs\": {}, \"total_chars\": {}, \
-         \"scalar_us_per_paragraph\": {:.3}, \"native_us_per_paragraph\": {:.3}, \
-         \"simd_speedup\": {:.2}, \"native_paragraphs_per_sec\": {:.0}, \
-         \"batched_allocs_per_paragraph\": {}, \"single_allocs_per_paragraph\": {}}}\n}}\n",
-        kernel.name(),
-        rows.join(",\n"),
-        bulk.paragraphs,
-        bulk.total_chars,
-        bulk.scalar_us_per_paragraph,
-        bulk.native_us_per_paragraph,
-        bulk.simd_speedup(),
-        bulk.native_paragraphs_per_sec(),
-        bulk.batched_allocs_per_paragraph,
-        bulk.single_allocs_per_paragraph,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fingerprint.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
-}
-
-fn simd_floor() -> f64 {
-    std::env::var("BF_SIMD_FLOOR")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0)
-}
-
 fn main() {
+    let floor = env_floor("BF_SIMD_FLOOR", 2.0);
     let native_kernel = if scalar_env_forced() {
         KernelKind::Scalar
     } else {
@@ -434,13 +379,13 @@ fn main() {
         println!(
             "{:>10} {:>14.3} {:>14.3} {:>8.1}x {:>14.3} {:>8.1}x {:>11} {:>11}",
             r.paragraph_chars,
-            r.full_scalar.us_per_check,
-            r.full.us_per_check,
-            r.simd_speedup(),
-            r.incremental.us_per_check,
-            r.speedup(),
-            r.full.allocs_per_check,
-            r.incremental.allocs_per_check
+            r.full_scalar_us_per_check,
+            r.full_us_per_check,
+            r.simd_speedup,
+            r.incremental_us_per_check,
+            r.speedup,
+            r.full_allocs_per_check,
+            r.incremental_allocs_per_check
         );
     }
     println!();
@@ -452,8 +397,8 @@ fn main() {
         bulk.total_chars,
         bulk.scalar_us_per_paragraph,
         bulk.native_us_per_paragraph,
-        bulk.simd_speedup(),
-        bulk.native_paragraphs_per_sec()
+        bulk.simd_speedup,
+        bulk.native_paragraphs_per_sec
     );
     println!(
         "observe allocations: {} per paragraph batched (observe_paragraphs), \
@@ -465,7 +410,27 @@ fn main() {
         "(the incremental path re-hashes only the w + n - 1 dirty window, so its \
          latency is flat in paragraph length while the full path grows linearly)"
     );
-    write_report(&results, &bulk, native_kernel);
+    let report = Report {
+        keystrokes_per_size: KEYSTROKES,
+        library_paragraphs: LIBRARY_PARAGRAPHS,
+        sizes: results,
+        bulk_ingest: bulk,
+    };
+    report::write(
+        "fingerprint",
+        "per-keystroke disclosure check; 'full' re-fingerprints the whole paragraph \
+         (DisclosureEngine::check_paragraph) on the runtime-detected kernel, \
+         'full_scalar' is the same path pinned to the scalar kernel (BF_FORCE_SCALAR), \
+         'incremental' splices one edit into the keystroke session and re-winnows only \
+         the dirty window (DisclosureEngine::apply_paragraph_edit); allocations \
+         counted by a global counting allocator, so they are exact",
+        &report,
+    );
+    let Report {
+        sizes: results,
+        bulk_ingest: bulk,
+        ..
+    } = report;
 
     // The observe paths reuse the thread-local fingerprint scratch; a
     // regression to a fresh scratch per call adds a step change (several
@@ -485,14 +450,14 @@ fn main() {
         .find(|r| r.paragraph_chars == 4096)
         .expect("4096 is in the sweep");
     assert!(
-        at_4k.speedup() >= 5.0,
+        at_4k.speedup >= 5.0,
         "incremental keystroke checks must be >= 5x faster than full \
          re-fingerprinting at 4 k chars, got {:.1}x",
-        at_4k.speedup()
+        at_4k.speedup
     );
     println!(
         "regression gate: incremental is {:.1}x faster at 4096 chars (floor: 5x) — ok",
-        at_4k.speedup()
+        at_4k.speedup
     );
 
     if !native_kernel.is_simd() {
@@ -500,26 +465,25 @@ fn main() {
             "WARNING: no SIMD kernel available on this host (native kernel: \
              {native_kernel}) — the BF_SIMD_FLOOR >= {:.1}x gate at 4k/16k chars was \
              SKIPPED, not passed",
-            simd_floor()
+            floor
         );
         return;
     }
-    let floor = simd_floor();
     for &chars in &[4096usize, 16384] {
         let row = results
             .iter()
             .find(|r| r.paragraph_chars == chars)
             .expect("gated size is in the sweep");
         assert!(
-            row.simd_speedup() >= floor,
+            row.simd_speedup >= floor,
             "SIMD full path must be >= {floor:.1}x faster than scalar at {chars} chars \
              (BF_SIMD_FLOOR), got {:.2}x",
-            row.simd_speedup()
+            row.simd_speedup
         );
         println!(
             "regression gate: SIMD full path is {:.1}x faster than scalar at {chars} \
              chars (floor: {floor:.1}x) — ok",
-            row.simd_speedup()
+            row.simd_speedup
         );
     }
 }

@@ -22,53 +22,16 @@
 //! The floor defaults to 3.0x and can be overridden with
 //! `BF_INGEST_FLOOR`.
 
-use browserflow_bench::{algorithm1, host_cores, ingest, print_header};
+use browserflow_bench::{algorithm1, env_floor, host_cores, ingest, print_header, report};
+use serde::Serialize;
 
-fn write_report(results: &[ingest::SizeResult]) {
-    let rows: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"paragraphs\": {}, \"hashes_recorded\": {}, \
-                 \"per_paragraph_ms\": {:.3}, \"batched_ms\": {:.3}, \
-                 \"wall_speedup\": {:.2}, \"per_paragraph_locks\": {}, \
-                 \"batched_locks\": {}, \"lock_reduction\": {:.1}}}",
-                r.paragraphs,
-                r.hashes_recorded,
-                r.per_paragraph_ms,
-                r.batched_ms,
-                r.wall_speedup(),
-                r.per_paragraph_locks,
-                r.batched_locks,
-                r.lock_reduction()
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"ingest\",\n  \
-         \"note\": \"per-paragraph observe loop (one-entry batches) vs one \
-         observe_batch call over the Algorithm 1 corpus; both lock columns are the \
-         stores' batch_lock_acquisitions counters (one round-trip per touched \
-         stripe per call, so the loop pays up to one per DBhash stripe plus one \
-         DBpar round-trip per paragraph); batched ingest is asserted \
-         observation-equivalent to the loop before timing; lock_reduction is the \
-         CI-gated metric, wall times are informational\",\n  \
-         \"sizes\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+#[derive(Serialize)]
+struct Report {
+    sizes: Vec<ingest::SizeResult>,
 }
 
 fn main() {
-    let floor: f64 = std::env::var("BF_INGEST_FLOOR")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3.0);
+    let floor = env_floor("BF_INGEST_FLOOR", 3.0);
 
     print_header(
         "Batched ingest: per-paragraph observe loop vs one observe_batch call",
@@ -89,21 +52,31 @@ fn main() {
             r.paragraphs,
             r.per_paragraph_ms,
             r.batched_ms,
-            r.wall_speedup(),
+            r.wall_speedup,
             r.per_paragraph_locks,
             r.batched_locks,
-            r.lock_reduction()
+            r.lock_reduction
         );
     }
 
-    write_report(&results);
-
-    let gated = results
+    let gated = *results
         .iter()
         .find(|r| r.paragraphs == 15_000)
         .or_else(|| results.last())
         .expect("STORE_SIZES is non-empty");
-    let reduction = gated.lock_reduction();
+    report::write(
+        "ingest",
+        "per-paragraph observe loop (one-entry batches) vs one observe_batch call over \
+         the Algorithm 1 corpus; both lock columns are the stores' \
+         batch_lock_acquisitions counters (one round-trip per touched stripe per call, \
+         so the loop pays up to one per DBhash stripe plus one DBpar round-trip per \
+         paragraph); batched ingest is asserted observation-equivalent to the loop \
+         before timing; lock_reduction is the CI-gated metric, wall times are \
+         informational",
+        &Report { sizes: results },
+    );
+
+    let reduction = gated.lock_reduction;
     println!(
         "\n{} paragraphs: batched ingest takes {reduction:.0}x fewer stripe lock \
          round-trips than the per-paragraph loop (floor {floor:.1}x)",

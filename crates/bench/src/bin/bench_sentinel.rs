@@ -16,8 +16,10 @@
 //! and exits non-zero when either floor is missed, so CI can gate on it.
 
 use browserflow::{BrowserFlow, CheckRequest, EnforcementMode, EngineConfig, UploadAction};
+use browserflow_bench::{env_floor, report};
 use browserflow_fingerprint::FingerprintConfig;
 use browserflow_tdm::{Service, Tag, TagSet};
+use serde::Serialize;
 
 /// A confidential paragraph long enough to fingerprint robustly at the
 /// corpus n-gram length.
@@ -260,18 +262,19 @@ const SCENARIOS: [Scenario; 10] = [
     },
 ];
 
+#[derive(Serialize)]
 struct Outcome {
-    name: &'static str,
+    scenario: &'static str,
     covert: bool,
     alerts: usize,
     max_hops: usize,
 }
 
-fn env_floor(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+#[derive(Serialize)]
+struct Report {
+    recall: f64,
+    precision: f64,
+    scenarios: Vec<Outcome>,
 }
 
 fn main() {
@@ -294,7 +297,7 @@ fn main() {
         (scenario.run)(&flow);
         let alerts = flow.alerts();
         let outcome = Outcome {
-            name: scenario.name,
+            scenario: scenario.name,
             covert: scenario.covert,
             alerts: alerts.len(),
             max_hops: alerts.iter().map(|a| a.hops.len()).max().unwrap_or(0),
@@ -308,7 +311,7 @@ fn main() {
         };
         println!(
             "{:<22} {:>7} {:>7} {:>9} {verdict}",
-            outcome.name, outcome.covert, outcome.alerts, outcome.max_hops
+            outcome.scenario, outcome.covert, outcome.alerts, outcome.max_hops
         );
         outcomes.push(outcome);
     }
@@ -331,7 +334,17 @@ fn main() {
         true_alerts + false_alerts
     );
 
-    write_report(&outcomes, recall, precision);
+    report::write(
+        "sentinel",
+        "covert-flow scenario corpus; a scenario counts as detected when the \
+         exfiltration sentinel raised at least one multi-hop alert; recall is over \
+         covert scenarios, precision over alert-raising scenarios",
+        &Report {
+            recall,
+            precision,
+            scenarios: outcomes,
+        },
+    );
 
     assert!(
         recall >= recall_floor,
@@ -342,32 +355,4 @@ fn main() {
         "sentinel precision {precision:.3} fell below the floor {precision_floor:.2}"
     );
     println!("sentinel corpus gate passed");
-}
-
-fn write_report(outcomes: &[Outcome], recall: f64, precision: f64) {
-    let rows: Vec<String> = outcomes
-        .iter()
-        .map(|o| {
-            format!(
-                "    {{\"scenario\": \"{}\", \"covert\": {}, \"alerts\": {}, \
-                 \"max_hops\": {}}}",
-                o.name, o.covert, o.alerts, o.max_hops
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"sentinel\",\n  \"recall\": {recall:.3},\n  \
-         \"precision\": {precision:.3},\n  \
-         \"note\": \"covert-flow scenario corpus; a scenario counts as detected when \
-         the exfiltration sentinel raised at least one multi-hop alert; recall is over \
-         covert scenarios, precision over alert-raising scenarios\",\n  \
-         \"scenarios\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sentinel.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
 }

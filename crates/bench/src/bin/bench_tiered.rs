@@ -11,58 +11,16 @@
 //! The floor defaults to 10.0x and can be overridden with `BF_TIER_FLOOR`
 //! (e.g. for debug builds, where relative timings differ).
 
-use browserflow_bench::{algorithm1, host_cores, print_header, tiered};
+use browserflow_bench::{algorithm1, env_floor, host_cores, print_header, report, tiered};
+use serde::Serialize;
 
-fn write_report(results: &[tiered::SizeResult]) {
-    let rows: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"paragraphs\": {}, \"v2_open_ms\": {:.3}, \"cold_open_ms\": {:.3}, \
-                 \"open_speedup\": {:.2}, \"v2_first_check_ms\": {:.3}, \
-                 \"cold_first_check_ms\": {:.3}, \"first_check_speedup\": {:.2}, \
-                 \"reports\": {}, \"cold_shards\": {}, \"shard_count\": {}, \
-                 \"cold_mapped_shards\": {}, \"cold_segments\": {}, \"cold_sightings\": {}}}",
-                r.paragraphs,
-                r.v2_open_ms,
-                r.cold_open_ms,
-                r.open_speedup(),
-                r.v2_first_check_ms,
-                r.cold_first_check_ms,
-                r.first_check_speedup(),
-                r.reports,
-                r.cold_stats.cold_shards,
-                r.cold_stats.shard_count,
-                r.cold_stats.cold_mapped_shards,
-                r.cold_stats.cold_segments,
-                r.cold_stats.cold_sightings
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"tiered\",\n  \
-         \"note\": \"daemon-restart cost per snapshot format; 'v2_open' decodes every \
-         record into the hot tier (StoreOpenOptions, TierMode::Hot), 'cold_open' \
-         validates v3 shard headers and CRCs and maps the files in place \
-         (TierMode::Cold); '*_first_check' adds one document-wide disclosure check \
-         on top of the open; cold reports are asserted identical to the hot \
-         reference before timing\",\n  \
-         \"sizes\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tiered.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+#[derive(Serialize)]
+struct Report {
+    sizes: Vec<tiered::SizeResult>,
 }
 
 fn main() {
-    let floor: f64 = std::env::var("BF_TIER_FLOOR")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10.0);
+    let floor = env_floor("BF_TIER_FLOOR", 10.0);
 
     print_header(
         "Tiered persistence: v2 full-decode open vs v3 cold (mapped) open",
@@ -89,30 +47,38 @@ fn main() {
             r.paragraphs,
             r.v2_open_ms,
             r.cold_open_ms,
-            r.open_speedup(),
+            r.open_speedup,
             r.v2_first_check_ms,
             r.cold_first_check_ms,
-            r.first_check_speedup()
+            r.first_check_speedup
         );
     }
 
-    let largest = results.last().expect("STORE_SIZES is non-empty");
+    let largest = *results.last().expect("STORE_SIZES is non-empty");
     println!(
         "\nlargest store ({} paragraphs): {}/{} shards cold ({} mapped), \
          {} cold segments, {} cold sightings",
         largest.paragraphs,
-        largest.cold_stats.cold_shards,
-        largest.cold_stats.shard_count,
-        largest.cold_stats.cold_mapped_shards,
-        largest.cold_stats.cold_segments,
-        largest.cold_stats.cold_sightings
+        largest.cold_shards,
+        largest.shard_count,
+        largest.cold_mapped_shards,
+        largest.cold_segments,
+        largest.cold_sightings
     );
-    let speedup = largest.open_speedup();
+    let speedup = largest.open_speedup;
     println!(
         "largest store cold open: {speedup:.2}x faster than v2 full decode (floor {floor:.1}x)"
     );
 
-    write_report(&results);
+    report::write(
+        "tiered",
+        "daemon-restart cost per snapshot format; 'v2_open' decodes every record into \
+         the hot tier (StoreOpenOptions, TierMode::Hot), 'cold_open' validates v3 shard \
+         headers and CRCs and maps the files in place (TierMode::Cold); \
+         '*_first_check' adds one document-wide disclosure check on top of the open; \
+         cold reports are asserted identical to the hot reference before timing",
+        &Report { sizes: results },
+    );
 
     assert!(
         speedup >= floor,

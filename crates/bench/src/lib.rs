@@ -149,16 +149,134 @@ pub fn host_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// Prints a one-line warning when the host has a single core: every
-/// parallel-scaling series (checker threads, Algorithm 1 fan-out, parallel
-/// decode) is then flat by construction, and the numbers reflect the
-/// hardware rather than the implementation.
+/// Prints a one-line warning when the host has a single core: the
+/// asynchronous decider's worker then shares that core with the thread
+/// submitting to it (fig12, fig13 and the `async_batch_roundtrip` entry of
+/// `BENCH_concurrent.json`), and Algorithm 1's candidate fan-out has no
+/// second core to spread over, so those timings reflect the hardware
+/// rather than the implementation.
 pub fn warn_if_single_core() {
     if host_cores() == 1 {
         eprintln!(
-            "warning: single-core host; parallel speedups will be flat — \
-             thread/worker scaling series reflect the hardware, not the implementation"
+            "warning: single-core host; worker threads share one core — async and \
+             fan-out timings reflect the hardware, not the implementation"
         );
+    }
+}
+
+/// The gate floor `name` overrides from the environment, or `default`
+/// when it is unset.
+///
+/// Panics, naming the variable, when it is set to anything but a finite
+/// number: a typo such as `BF_INGEST_FLOOR=3x` must fail the run, not
+/// silently gate at the default.
+pub fn env_floor(name: &str, default: f64) -> f64 {
+    match std::env::var(name) {
+        Err(std::env::VarError::NotPresent) => default,
+        Ok(raw) => parse_floor(name, &raw),
+        Err(e) => panic!("{name}: {e}"),
+    }
+}
+
+fn parse_floor(name: &str, raw: &str) -> f64 {
+    match raw.trim().parse::<f64>() {
+        Ok(floor) if floor.is_finite() => floor,
+        _ => panic!("{name}={raw:?} is not a finite number; unset it to gate at the default"),
+    }
+}
+
+/// The one writer behind every `BENCH_<bench>.json` the micro-benches emit.
+pub mod report {
+    use serde::content::{to_content, Content};
+    use serde::Serialize;
+    use std::path::Path;
+    use std::process::{Command, Stdio};
+
+    /// Writes `BENCH_<bench>.json` at the repository root: a header with
+    /// `bench`, `commit`, `host_cores`, the fingerprint `kernel` dispatch
+    /// runs (`scalar` under `BF_FORCE_SCALAR`) and `note`, followed by
+    /// `body`'s fields.
+    ///
+    /// Panics when the report cannot be rendered (a non-finite float) or
+    /// written, so a bench never exits 0 beside a stale checked-in file.
+    pub fn write(bench: &str, note: &str, body: &impl Serialize) {
+        let json = render(bench, note, body);
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("crates/bench sits two levels below the repository root")
+            .join(format!("BENCH_{bench}.json"));
+        std::fs::write(&path, json)
+            .unwrap_or_else(|e| panic!("could not write {}: {e}", path.display()));
+        println!("wrote {}", path.display());
+    }
+
+    fn render(bench: &str, note: &str, body: &impl Serialize) -> String {
+        let mut entries = vec![
+            ("bench".to_string(), Content::Str(bench.to_string())),
+            ("commit".to_string(), Content::Str(commit())),
+            (
+                "host_cores".to_string(),
+                Content::U64(super::host_cores() as u64),
+            ),
+            (
+                "kernel".to_string(),
+                Content::Str(browserflow_fingerprint::active_kernel().name().to_string()),
+            ),
+            ("note".to_string(), Content::Str(note.to_string())),
+        ];
+        let Ok(Content::Map(fields)) = to_content(body) else {
+            panic!("BENCH_{bench}.json body must serialise to an object");
+        };
+        entries.extend(fields);
+        let mut json = serde_json::to_string_pretty(&Content::Map(entries))
+            .unwrap_or_else(|e| panic!("BENCH_{bench}.json does not render: {e}"));
+        json.push('\n');
+        json
+    }
+
+    /// `git rev-parse --short HEAD`, or `unknown` outside a git checkout.
+    fn commit() -> String {
+        Command::new("git")
+            .args(["rev-parse", "--short", "HEAD"])
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .stderr(Stdio::null())
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".to_string())
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::render;
+        use serde::Serialize;
+
+        #[derive(Serialize)]
+        struct Body {
+            ratio: f64,
+        }
+
+        #[test]
+        fn header_precedes_body_fields() {
+            let json = render("unit", "a note", &Body { ratio: 2.5 });
+            let keys: Vec<&str> = json
+                .lines()
+                .filter_map(|line| line.trim().strip_prefix('"')?.split('"').next())
+                .collect();
+            assert_eq!(
+                keys,
+                ["bench", "commit", "host_cores", "kernel", "note", "ratio"]
+            );
+            assert!(json.contains("\"kernel\": \""), "{json}");
+        }
+
+        #[test]
+        #[should_panic(expected = "BENCH_unit.json does not render")]
+        fn non_finite_floats_fail_the_report() {
+            render("unit", "", &Body { ratio: f64::NAN });
+        }
     }
 }
 
@@ -181,6 +299,7 @@ pub fn warn_if_single_core() {
 pub mod algorithm1 {
     use browserflow_fingerprint::{Fingerprint, SelectedHash};
     use browserflow_store::{probe_disclosing_sources, FingerprintStore, SegmentId};
+    use serde::Serialize;
     use std::collections::HashSet;
     use std::time::Instant;
 
@@ -205,7 +324,7 @@ pub mod algorithm1 {
     const ROUNDS: usize = 3;
 
     /// One store size's old-vs-new comparison.
-    #[derive(Debug, Clone, Copy)]
+    #[derive(Debug, Clone, Copy, Serialize)]
     pub struct SizeResult {
         /// Paragraphs stored.
         pub paragraphs: usize,
@@ -217,13 +336,8 @@ pub mod algorithm1 {
         pub probe_ms: f64,
         /// Best-of-[`ROUNDS`] wall time of the indexed production path, ms.
         pub indexed_ms: f64,
-    }
-
-    impl SizeResult {
         /// probe/indexed wall-time ratio.
-        pub fn speedup(&self) -> f64 {
-            self.probe_ms / self.indexed_ms
-        }
+        pub speedup: f64,
     }
 
     fn splitmix64(mut x: u64) -> u64 {
@@ -336,6 +450,7 @@ pub mod algorithm1 {
             reports: indexed_reports.len(),
             probe_ms,
             indexed_ms,
+            speedup: probe_ms / indexed_ms,
         }
     }
 
@@ -372,13 +487,14 @@ pub mod ingest {
     use super::algorithm1;
     use browserflow_fingerprint::Fingerprint;
     use browserflow_store::{FingerprintStore, SegmentId};
+    use serde::Serialize;
     use std::time::Instant;
 
     /// Measured passes per implementation (best-of, after one warm-up).
     const ROUNDS: usize = 3;
 
     /// One store size's per-paragraph vs batched comparison.
-    #[derive(Debug, Clone, Copy)]
+    #[derive(Debug, Clone, Copy, Serialize)]
     pub struct SizeResult {
         /// Paragraphs ingested per pass.
         pub paragraphs: usize,
@@ -388,24 +504,16 @@ pub mod ingest {
         pub per_paragraph_ms: f64,
         /// Best-of wall time of one `observe_batch` call, ms.
         pub batched_ms: f64,
+        /// Wall-time ratio (>1 means batched is faster).
+        pub wall_speedup: f64,
         /// Stripe lock round-trips the per-paragraph loop paid (measured
         /// via the store's `batch_lock_acquisitions` counter).
         pub per_paragraph_locks: u64,
         /// Stripe lock round-trips the batched pass paid (measured via
         /// the store's `batch_lock_acquisitions` counter).
         pub batched_locks: u64,
-    }
-
-    impl SizeResult {
-        /// Wall-time ratio (>1 means batched is faster).
-        pub fn wall_speedup(&self) -> f64 {
-            self.per_paragraph_ms / self.batched_ms
-        }
-
         /// Lock round-trip ratio (>1 means batched takes fewer).
-        pub fn lock_reduction(&self) -> f64 {
-            self.per_paragraph_locks as f64 / self.batched_locks as f64
-        }
+        pub lock_reduction: f64,
     }
 
     fn sequential_pass(prints: &[Fingerprint]) -> (FingerprintStore, f64) {
@@ -475,8 +583,10 @@ pub mod ingest {
             hashes_recorded,
             per_paragraph_ms,
             batched_ms,
+            wall_speedup: per_paragraph_ms / batched_ms,
             per_paragraph_locks,
             batched_locks,
+            lock_reduction: per_paragraph_locks as f64 / batched_locks as f64,
         }
     }
 
@@ -503,17 +613,19 @@ pub mod ingest {
 pub mod tiered {
     use super::algorithm1;
     use browserflow_store::{
-        FingerprintStore, PersistOptions, SegmentId, StoreFormat, StoreOpenOptions, StoreStats,
-        TierMode,
+        FingerprintStore, PersistOptions, SegmentId, StoreFormat, StoreOpenOptions, TierMode,
     };
+    use serde::Serialize;
     use std::path::{Path, PathBuf};
     use std::time::Instant;
 
     /// Measured passes per open path (best-of, after one warm-up).
     const ROUNDS: usize = 3;
 
-    /// One store size's v2-decode vs v3-map restart comparison.
-    #[derive(Debug, Clone)]
+    /// One store size's v2-decode vs v3-map restart comparison. The
+    /// `cold_*` and `shard_count` fields come from the cold-opened store's
+    /// stats: how much of the snapshot is served from mapped files.
+    #[derive(Debug, Clone, Copy, Serialize)]
     pub struct SizeResult {
         /// Paragraphs persisted.
         pub paragraphs: usize,
@@ -521,27 +633,26 @@ pub mod tiered {
         pub v2_open_ms: f64,
         /// Best-of-[`ROUNDS`] cold (mapped) open of the v3 directory, ms.
         pub cold_open_ms: f64,
+        /// v2-decode / v3-map open-time ratio — the CI-gated number.
+        pub open_speedup: f64,
         /// v2 open plus first document-wide check, ms (best-of).
         pub v2_first_check_ms: f64,
         /// Cold open plus first document-wide check, ms (best-of).
         pub cold_first_check_ms: f64,
+        /// Restart-to-first-verdict ratio (open + first check).
+        pub first_check_speedup: f64,
         /// Sources the check reports (identical hot and cold, asserted).
         pub reports: usize,
-        /// Store stats of the cold-opened store (occupancy proxy: how much
-        /// of the snapshot is served from mapped files vs decoded memory).
-        pub cold_stats: StoreStats,
-    }
-
-    impl SizeResult {
-        /// v2-decode / v3-map open-time ratio — the CI-gated number.
-        pub fn open_speedup(&self) -> f64 {
-            self.v2_open_ms / self.cold_open_ms
-        }
-
-        /// Restart-to-first-verdict ratio (open + first check).
-        pub fn first_check_speedup(&self) -> f64 {
-            self.v2_first_check_ms / self.cold_first_check_ms
-        }
+        /// Shards served cold.
+        pub cold_shards: usize,
+        /// Shards in the store.
+        pub shard_count: usize,
+        /// Cold shards backed by a memory map.
+        pub cold_mapped_shards: usize,
+        /// Segments served from cold shards.
+        pub cold_segments: usize,
+        /// Sightings served from cold shards.
+        pub cold_sightings: usize,
     }
 
     /// A scratch directory under the system temp dir, unique per process.
@@ -633,10 +744,16 @@ pub mod tiered {
             paragraphs,
             v2_open_ms,
             cold_open_ms,
+            open_speedup: v2_open_ms / cold_open_ms,
             v2_first_check_ms,
             cold_first_check_ms,
+            first_check_speedup: v2_first_check_ms / cold_first_check_ms,
             reports: expected.len(),
-            cold_stats,
+            cold_shards: cold_stats.cold_shards,
+            shard_count: cold_stats.shard_count,
+            cold_mapped_shards: cold_stats.cold_mapped_shards,
+            cold_segments: cold_stats.cold_segments,
+            cold_sightings: cold_stats.cold_sightings,
         }
     }
 
@@ -664,6 +781,25 @@ mod tests {
         }
         assert!(Scale::Small.wikipedia().articles <= Scale::Paper.wikipedia().articles);
         assert!(Scale::Small.ebooks().books <= Scale::Paper.ebooks().books);
+    }
+
+    #[test]
+    fn env_floor_defaults_when_unset_and_parses_overrides() {
+        assert_eq!(env_floor("BF_TEST_FLOOR_NEVER_SET", 3.0), 3.0);
+        assert_eq!(parse_floor("BF_INGEST_FLOOR", "2.5"), 2.5);
+        assert_eq!(parse_floor("BF_INGEST_FLOOR", " 4 "), 4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "BF_INGEST_FLOOR=\"3x\"")]
+    fn env_floor_rejects_a_typo() {
+        parse_floor("BF_INGEST_FLOOR", "3x");
+    }
+
+    #[test]
+    #[should_panic(expected = "BF_A1_FLOOR")]
+    fn env_floor_rejects_non_finite_values() {
+        parse_floor("BF_A1_FLOOR", "inf");
     }
 
     #[test]

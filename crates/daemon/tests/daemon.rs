@@ -62,13 +62,15 @@ fn start_daemon(
     (socket, handle)
 }
 
-fn create_tenant(client: &mut DaemonClient, tenant: &str, queue_capacity: u64) {
+/// Creates `tenant` on the two-service policy; `0` for `queue_capacity`
+/// or `max_in_flight` keeps the daemon's default.
+fn create_tenant(client: &mut DaemonClient, tenant: &str, queue_capacity: u64, max_in_flight: u64) {
     let reply = client
         .request(&Request::TenantCreate {
             tenant: tenant.to_string(),
             mode: "block".to_string(),
             policy_json: policy_json(),
-            max_in_flight: 0,
+            max_in_flight,
             queue_capacity,
         })
         .expect("tenant create");
@@ -89,8 +91,8 @@ fn drain(client: &mut DaemonClient) -> Vec<browserflow_daemon::WireDrainReport> 
 fn tenants_are_isolated_end_to_end() {
     let (socket, handle) = start_daemon(DaemonConfig::new(socket_path("isolation")));
     let mut client = DaemonClient::connect(&socket).unwrap();
-    create_tenant(&mut client, "alice", 0);
-    create_tenant(&mut client, "bob", 0);
+    create_tenant(&mut client, "alice", 0, 0);
+    create_tenant(&mut client, "bob", 0, 0);
 
     // Alice's secret lives only in Alice's store.
     client.observe("alice", "itool", "eval", 0, SECRET).unwrap();
@@ -133,7 +135,7 @@ fn tenants_are_isolated_end_to_end() {
 fn observe_batch_lands_a_whole_document_in_one_frame() {
     let (socket, handle) = start_daemon(DaemonConfig::new(socket_path("observe-batch")));
     let mut client = DaemonClient::connect(&socket).unwrap();
-    create_tenant(&mut client, "alice", 0);
+    create_tenant(&mut client, "alice", 0, 0);
 
     // A three-paragraph document goes over the wire as a single frame;
     // the secret sits in the middle slot.
@@ -195,7 +197,7 @@ fn queue_full_is_a_backpressure_reply_with_zero_silent_drops() {
     let _hooks = test_hooks::lock();
     let (socket, handle) = start_daemon(DaemonConfig::new(socket_path("backpressure")));
     let mut client = DaemonClient::connect(&socket).unwrap();
-    create_tenant(&mut client, "alice", 1);
+    create_tenant(&mut client, "alice", 1, 0);
 
     // Stall the tenant's worker on a marker paragraph so the bounded
     // queue (capacity 1) fills deterministically.
@@ -298,12 +300,155 @@ fn queue_full_is_a_backpressure_reply_with_zero_silent_drops() {
     handle.join().unwrap();
 }
 
+/// Client-side reply tally for the zero-silent-drop ledger.
+#[derive(Default)]
+struct Ledger {
+    sent: u64,
+    decisions: u64,
+    superseded: u64,
+    backpressure: u64,
+    blocked: u64,
+}
+
+impl Ledger {
+    fn record(&mut self, reply: Reply) {
+        match reply {
+            Reply::Decisions { decisions, .. } => {
+                self.decisions += 1;
+                if decisions.iter().any(|d| d.action != "allow") {
+                    self.blocked += 1;
+                }
+            }
+            Reply::Superseded => self.superseded += 1,
+            Reply::Backpressure { .. } => self.backpressure += 1,
+            other => panic!("unexpected reply under load: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn mixed_load_accounts_for_every_request_and_drains_clean() {
+    const TENANTS: usize = 4;
+    const CLIENTS: usize = 4;
+    const REQUESTS_PER_CLIENT: usize = 500;
+    const SESSIONS_PER_CLIENT: usize = 8;
+    const WORDS: [&str; 4] = ["quarterly", "revenue", "roadmap", "launch"];
+    let secret = |t: usize| format!("{SECRET} for tenant {t} and nobody else");
+
+    let (socket, handle) = start_daemon(DaemonConfig::new(socket_path("mixed-load")));
+    let mut admin = DaemonClient::connect(&socket).unwrap();
+    for t in 0..TENANTS {
+        let tenant = format!("tenant{t}");
+        // A one-slot queue and a quota below the client count, so both
+        // kinds of refusal happen under load.
+        create_tenant(&mut admin, &tenant, 1, 2);
+        admin
+            .observe(&tenant, "itool", "secrets", 0, &secret(t))
+            .unwrap();
+    }
+
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let socket = socket.clone();
+            thread::spawn(move || {
+                let mut client = DaemonClient::connect(&socket).unwrap();
+                let mut ledger = Ledger::default();
+                // Session `k` of this client edits document `c-k` at a
+                // skewed tenant; session 0 is leaky and pastes that
+                // tenant's secret.
+                let tenant_of = |k: usize| [0, 0, 0, 1, 1, 2, 3, 0][(k + c) % SESSIONS_PER_CLIENT];
+                let bases: Vec<String> = (0..SESSIONS_PER_CLIENT)
+                    .map(|k| match k {
+                        0 => secret(tenant_of(k)),
+                        _ => "meeting notes:".to_string(),
+                    })
+                    .collect();
+                let mut texts = bases.clone();
+                for step in 0..REQUESTS_PER_CLIENT {
+                    let k = step % SESSIONS_PER_CLIENT;
+                    let tenant = format!("tenant{}", tenant_of(k));
+                    let document = format!("doc{c}-{k}");
+                    ledger.sent += 1;
+                    // One request in five rechecks the whole document; the
+                    // rest are keystrokes extending the session's paragraph.
+                    let reply = if step % 5 == 4 {
+                        let slot = vec![ParagraphSlot {
+                            index: 0,
+                            text: texts[k].clone(),
+                        }];
+                        client.check(&tenant, "gdocs", &document, slot)
+                    } else {
+                        if texts[k].len() > bases[k].len() + 300 {
+                            texts[k].truncate(bases[k].len());
+                        }
+                        texts[k].push(' ');
+                        texts[k].push_str(WORDS[(step + c) % WORDS.len()]);
+                        client.keystroke(&tenant, "gdocs", &document, 0, &texts[k])
+                    };
+                    ledger.record(reply.expect("round trip"));
+                }
+                ledger
+            })
+        })
+        .collect();
+    let mut total = Ledger::default();
+    for client in clients {
+        let ledger = client.join().unwrap();
+        total.sent += ledger.sent;
+        total.decisions += ledger.decisions;
+        total.superseded += ledger.superseded;
+        total.backpressure += ledger.backpressure;
+        total.blocked += ledger.blocked;
+    }
+
+    assert_eq!(
+        total.sent,
+        total.decisions + total.superseded + total.backpressure,
+        "every request must come back as a decision, a supersession or \
+         structured backpressure — nothing may be dropped silently"
+    );
+    assert!(total.blocked > 0, "leaky sessions produced no blocks");
+
+    // Quota refusals never reach the decider, so the daemon's queue-full
+    // count is a lower bound on the backpressure clients saw.
+    let mut rejected = 0;
+    for t in 0..TENANTS {
+        match admin
+            .request(&Request::Stats {
+                tenant: format!("tenant{t}"),
+            })
+            .unwrap()
+        {
+            Reply::Stats { pipeline, .. } => rejected += pipeline.rejected,
+            other => panic!("expected Stats, got {other:?}"),
+        }
+    }
+    assert!(
+        rejected <= total.backpressure,
+        "daemon counted {rejected} queue-full rejections but clients saw only {} \
+         backpressure replies",
+        total.backpressure
+    );
+
+    let reports = drain(&mut admin);
+    assert_eq!(reports.len(), TENANTS, "drain must report every tenant");
+    for report in &reports {
+        assert!(
+            report.error.is_empty(),
+            "tenant {} failed to drain: {}",
+            report.tenant,
+            report.error
+        );
+    }
+    handle.join().unwrap();
+}
+
 #[test]
 fn draining_refusal_is_terminal_with_a_real_backoff_hint() {
     let _hooks = test_hooks::lock();
     let (socket, handle) = start_daemon(DaemonConfig::new(socket_path("draining")));
     let mut client = DaemonClient::connect(&socket).unwrap();
-    create_tenant(&mut client, "alice", 0);
+    create_tenant(&mut client, "alice", 0, 0);
 
     // Stall the tenant's worker so the drain (which waits for queued
     // work) holds the tenant in its "decider taken, not yet drained"
@@ -382,7 +527,7 @@ fn snapshot_sweep_persists_tenants_without_drain() {
     config.snapshot_interval = Some(Duration::from_millis(50));
     let (socket, handle) = start_daemon(config);
     let mut client = DaemonClient::connect(&socket).unwrap();
-    create_tenant(&mut client, "alice", 0);
+    create_tenant(&mut client, "alice", 0, 0);
     client.observe("alice", "itool", "eval", 0, SECRET).unwrap();
 
     // Wait out a few sweep intervals; the daemon keeps serving — no
@@ -423,7 +568,7 @@ fn drain_persists_tenants_and_a_new_daemon_restores_them() {
     config.store_key = key.clone();
     let (socket, handle) = start_daemon(config);
     let mut client = DaemonClient::connect(&socket).unwrap();
-    create_tenant(&mut client, "alice", 0);
+    create_tenant(&mut client, "alice", 0, 0);
     client.observe("alice", "itool", "eval", 0, SECRET).unwrap();
 
     let reports = drain(&mut client);
@@ -572,7 +717,7 @@ fn lineage_and_alerts_survive_drain_and_restore_over_the_wire() {
 fn admission_after_drain_is_draining_backpressure() {
     let (socket, handle) = start_daemon(DaemonConfig::new(socket_path("post-drain")));
     let mut client = DaemonClient::connect(&socket).unwrap();
-    create_tenant(&mut client, "alice", 0);
+    create_tenant(&mut client, "alice", 0, 0);
 
     // A second connection drains the daemon while the first stays open.
     let mut drainer = DaemonClient::connect(&socket).unwrap();
@@ -672,7 +817,7 @@ fn unknown_tenant_and_bad_create_are_typed_errors() {
         .unwrap();
     assert!(matches!(reply, Reply::Error { ref message } if message.contains("policy")));
 
-    create_tenant(&mut client, "alice", 0);
+    create_tenant(&mut client, "alice", 0, 0);
     let reply = client
         .request(&Request::TenantCreate {
             tenant: "alice".to_string(),

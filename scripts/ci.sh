@@ -29,8 +29,9 @@
 #      with a loud warning on SIMD-less hosts), and that the engine
 #      reports exactly the kernel each pass requested
 #  10. a release-mode smoke run of the algorithm1 microbench, which
-#      asserts the authoritative-index evaluation path stays >= 3x faster
-#      than the probe-based reference on a 150 k-paragraph store
+#      regenerates BENCH_algorithm1.json and asserts the
+#      authoritative-index evaluation path stays >= BF_A1_FLOOR (default
+#      3x) faster than the probe-based reference on a 150 k-paragraph store
 #  11. a release-mode smoke run of the tiered-persistence microbench,
 #      which regenerates BENCH_tiered.json and asserts a v3 cold (mapped)
 #      open stays >= 10x faster than a v2 full decode on a
@@ -56,9 +57,9 @@
 #      >= 0.8 (override with BF_SENTINEL_RECALL_FLOOR /
 #      BF_SENTINEL_PRECISION_FLOOR); skipped loudly if the release
 #      binary is absent
-#  16. a release-mode smoke run of the multi-tenant service bench, which
-#      regenerates BENCH_service.json and asserts the zero-silent-drop
-#      ledger (sent == decisions + superseded + backpressure)
+#  16. a smoke run of the end-to-end `bfd` benchmark (all four
+#      BENCHMARK.json workloads, scaled down), which must report every
+#      verdict correct and no failed operation
 #
 # The vendored shims under third_party/ are intentionally excluded from
 # the fmt/clippy gates: they mirror upstream crate APIs and are not held
@@ -189,9 +190,10 @@ cargo run -q --release -p browserflow-bench --bin bench_fingerprint
 grep -q '"kernel": "' BENCH_fingerprint.json
 
 echo "==> algorithm1 microbench smoke run (release)"
-# Old-vs-new candidate evaluation at 1.5k/15k/150k paragraphs; the binary
-# asserts the authoritative-index path is >= 3x faster than the
-# probe-based reference on the largest store.
+# Old-vs-new candidate evaluation at 1.5k/15k/150k paragraphs; regenerates
+# BENCH_algorithm1.json and the binary asserts the authoritative-index
+# path is >= BF_A1_FLOOR (default 3x) faster than the probe-based
+# reference on the largest store.
 cargo run -q --release -p browserflow-bench --bin bench_algorithm1
 
 echo "==> tiered-persistence microbench smoke run (release)"
@@ -385,10 +387,18 @@ else
     echo 'WARNING: and re-run ci.sh for full coverage.' >&2
 fi
 
-echo "==> multi-tenant service bench smoke run (release)"
-# Regenerates BENCH_service.json; the binary itself asserts the
-# zero-silent-drop ledger (sent == decisions + superseded + backpressure)
-# and that the drain reports every tenant clean.
-cargo run -q --release -p browserflow-bench --bin bench_service
+echo "==> end-to-end bfd benchmark smoke run (release)"
+# Drives a real bfd child through every BENCHMARK.json workload at smoke
+# scale; its last line is the summary record, which must show every
+# verdict correct and no failed operation. (The zero-silent-drop ledger
+# under backpressure is a daemon integration test, run by tier-1.)
+BENCH_SUMMARY=$(cargo run --release --quiet \
+    --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- --smoke | tail -n 1)
+if ! grep -q '"correct": true' <<<"$BENCH_SUMMARY" \
+    || ! grep -Eq '"failed": 0[,}]' <<<"$BENCH_SUMMARY"; then
+    echo "error: benchmark --smoke reported incorrect verdicts or failed operations:" >&2
+    echo "$BENCH_SUMMARY" >&2
+    exit 1
+fi
 
 echo "CI gate passed."
