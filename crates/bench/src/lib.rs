@@ -768,6 +768,134 @@ pub mod tiered {
     }
 }
 
+/// Decode-scaling microbench for the wire protocol's JSON parser.
+///
+/// Builds one `Request::Check` frame body per size — [`PARAGRAPH_COUNTS`]
+/// paragraphs of about [`PARAGRAPH_BYTES`] bytes each, the shape of a
+/// pre-upload sweep — and times `serde_json::from_slice::<Request>` on it
+/// the way the daemon decodes every request. A linear decoder spends the
+/// same time per byte at every size; the gated figure is the ratio of the
+/// largest size's median ns/byte to the smallest's.
+pub mod decode {
+    use browserflow_daemon::{ParagraphSlot, Request};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use serde::Serialize;
+    use std::hint::black_box;
+    use std::time::Instant;
+
+    /// Paragraph counts per frame, smallest first.
+    pub const PARAGRAPH_COUNTS: &[usize] = &[8, 32, 128];
+    /// Approximate length of one paragraph, bytes.
+    pub const PARAGRAPH_BYTES: usize = 380;
+    /// Timed repeats per size (after one warm-up).
+    pub const REPEATS: usize = 7;
+    /// Frame bytes each repeat decodes, summed over its iterations.
+    const BYTES_PER_REPEAT: usize = 2 << 20;
+
+    /// Mostly plain words, like the text `bfd` sees; a few carry
+    /// non-ASCII characters and one needs an escape.
+    const VOCABULARY: &str = "the candidate interview panel rated design review notes \
+        confidential quarterly Zürich naïve score follow-up data flow upload draft budget \
+        hiring committee \"quoted\" salary offer";
+
+    /// One size's timings: every repeat's ns/byte and their spread.
+    #[derive(Debug, Clone, Serialize)]
+    pub struct SizeResult {
+        /// Paragraphs in the frame.
+        pub paragraphs: usize,
+        /// Frame body length, bytes.
+        pub frame_bytes: usize,
+        /// Decodes per repeat.
+        pub iterations: usize,
+        /// ns per frame byte of every repeat, in run order.
+        pub ns_per_byte: Vec<f64>,
+        /// Median of `ns_per_byte`.
+        pub median_ns_per_byte: f64,
+        /// Lower quartile of `ns_per_byte`.
+        pub p25_ns_per_byte: f64,
+        /// Upper quartile of `ns_per_byte`.
+        pub p75_ns_per_byte: f64,
+    }
+
+    /// `count` paragraphs of about [`PARAGRAPH_BYTES`] bytes, drawn from
+    /// a fixed seed so every run decodes the same frames.
+    pub fn paragraphs(count: usize) -> Vec<ParagraphSlot> {
+        let words: Vec<&str> = VOCABULARY.split(' ').collect();
+        let mut rng = StdRng::seed_from_u64(0xDEC0DE);
+        (0..count)
+            .map(|index| {
+                let mut text = String::new();
+                while text.len() < PARAGRAPH_BYTES {
+                    if !text.is_empty() {
+                        text.push(' ');
+                    }
+                    text.push_str(words[rng.gen_range(0..words.len())]);
+                }
+                ParagraphSlot { index, text }
+            })
+            .collect()
+    }
+
+    /// The request a pre-upload sweep of `paragraphs` paragraphs sends.
+    pub fn check_request(paragraphs: usize) -> Request {
+        Request::Check {
+            tenant: "bench".into(),
+            service: "gdocs".into(),
+            document: "draft".into(),
+            paragraphs: self::paragraphs(paragraphs),
+        }
+    }
+
+    /// Quartiles the way Python's `statistics.quantiles(n=4)` computes
+    /// them (the `benchmark` harness's convention): `(p25, median, p75)`.
+    pub fn quartiles(values: &[f64]) -> (f64, f64, f64) {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        assert!(n >= 2, "quartiles need at least two values");
+        let cut = |i: usize| {
+            let m = i * (n + 1);
+            let j = (m / 4).clamp(1, n - 1);
+            let delta = m as f64 - (j * 4) as f64;
+            (sorted[j - 1] * (4.0 - delta) + sorted[j] * delta) / 4.0
+        };
+        (cut(1), cut(2), cut(3))
+    }
+
+    /// Times one frame size; panics if the frame does not decode back to
+    /// the request it was encoded from.
+    pub fn run_size(paragraphs: usize) -> SizeResult {
+        let request = check_request(paragraphs);
+        let body = serde_json::to_vec(&request).expect("request encodes");
+        let decoded: Request = serde_json::from_slice(&body).expect("frame decodes");
+        assert_eq!(decoded, request, "decode must round-trip the frame");
+        let iterations = (BYTES_PER_REPEAT / body.len()).max(3);
+        let ns_per_byte: Vec<f64> = (0..=REPEATS)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..iterations {
+                    let request: Request =
+                        serde_json::from_slice(black_box(&body)).expect("frame decodes");
+                    black_box(request);
+                }
+                start.elapsed().as_nanos() as f64 / (iterations * body.len()) as f64
+            })
+            .skip(1) // warm-up
+            .collect();
+        let (p25, median, p75) = quartiles(&ns_per_byte);
+        SizeResult {
+            paragraphs,
+            frame_bytes: body.len(),
+            iterations,
+            ns_per_byte,
+            median_ns_per_byte: median,
+            p25_ns_per_byte: p25,
+            p75_ns_per_byte: p75,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -800,6 +928,35 @@ mod tests {
     #[should_panic(expected = "BF_A1_FLOOR")]
     fn env_floor_rejects_non_finite_values() {
         parse_floor("BF_A1_FLOOR", "inf");
+    }
+
+    #[test]
+    fn decode_frames_have_the_stated_shape() {
+        let browserflow_daemon::Request::Check { paragraphs, .. } = decode::check_request(8) else {
+            panic!("a check frame");
+        };
+        assert_eq!(paragraphs.len(), 8);
+        for p in &paragraphs {
+            assert!((decode::PARAGRAPH_BYTES..decode::PARAGRAPH_BYTES + 40).contains(&p.text.len()));
+        }
+        assert_eq!(
+            paragraphs,
+            decode::paragraphs(8),
+            "frames are deterministic"
+        );
+    }
+
+    #[test]
+    fn quartiles_match_python_statistics() {
+        // statistics.quantiles([1, 2, 3, 4, 5, 6, 7], n=4) == [2.0, 4.0, 6.0]
+        assert_eq!(
+            decode::quartiles(&[7.0, 1.0, 3.0, 2.0, 6.0, 5.0, 4.0]),
+            (2.0, 4.0, 6.0)
+        );
+        // statistics.quantiles([1, 2, 3, 4], n=4) == [1.25, 2.5, 3.75]
+        assert_eq!(decode::quartiles(&[1.0, 2.0, 3.0, 4.0]), (1.25, 2.5, 3.75));
+        // statistics.quantiles([1, 5], n=4) == [0.0, 3.0, 6.0]
+        assert_eq!(decode::quartiles(&[5.0, 1.0]), (0.0, 3.0, 6.0));
     }
 
     #[test]

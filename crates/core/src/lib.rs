@@ -85,7 +85,7 @@ pub use middleware::{
     UploadAction, UploadDecision, Violation, Warning,
 };
 pub use request::{CheckRequest, ParagraphRef};
-pub use state::{StateError, StateRestoreReport};
+pub use state::{StateError, StateRestoreReport, METADATA_FILE as STATE_METADATA_FILE};
 pub use tenancy::{
     AdmissionError, InFlightPermit, RegistryError, Tenant, TenantConfig, TenantDrainReport,
     TenantId, TenantIdError, TenantRegistry,

@@ -46,7 +46,7 @@ use std::fmt;
 use std::path::Path;
 
 /// File holding the sealed registry/policy metadata in a state directory.
-const METADATA_FILE: &str = "state.bfmeta";
+pub const METADATA_FILE: &str = "state.bfmeta";
 /// Subdirectory holding the paragraph store's sealed shards.
 const PARAGRAPHS_DIR: &str = "paragraphs";
 /// Subdirectory holding the document store's sealed shards.

@@ -72,7 +72,9 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Writes one `len ‖ body` frame.
+/// Writes one `len ‖ body` frame with a single `write_all`, so an
+/// unbuffered socket pays one syscall and the peer never wakes on a
+/// header alone.
 ///
 /// # Errors
 ///
@@ -84,8 +86,10 @@ pub fn write_frame(writer: &mut impl Write, body: &[u8]) -> Result<(), FrameErro
             declared: body.len() as u64,
         });
     }
-    writer.write_all(&(body.len() as u32).to_le_bytes())?;
-    writer.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body);
+    writer.write_all(&frame)?;
     writer.flush()?;
     Ok(())
 }
@@ -519,6 +523,52 @@ mod tests {
         assert!(matches!(
             read_frame(&mut &wire[..]),
             Err(FrameError::TooLarge { .. })
+        ));
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        #[derive(Default)]
+        struct CountingSink {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingSink {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = CountingSink::default();
+        write_request(&mut sink, &Request::Ping).unwrap();
+        assert_eq!(sink.writes, 1, "header and body go out together");
+        assert_eq!(
+            read_request(&mut &sink.bytes[..]).unwrap(),
+            Some(Request::Ping)
+        );
+    }
+
+    #[test]
+    fn raw_control_byte_in_a_string_is_malformed() {
+        let body = serde_json::to_vec(&Request::Stats {
+            tenant: "a\u{1}b".into(),
+        })
+        .unwrap();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &body).unwrap();
+        assert!(read_request(&mut &wire[..]).unwrap().is_some());
+        // The same frame with the control byte unescaped fails closed.
+        let raw = String::from_utf8(body).unwrap().replace("\\u0001", "\u{1}");
+        assert!(raw.contains('\u{1}'));
+        let mut wire = Vec::new();
+        write_frame(&mut wire, raw.as_bytes()).unwrap();
+        assert!(matches!(
+            read_request(&mut &wire[..]),
+            Err(FrameError::Malformed(_))
         ));
     }
 

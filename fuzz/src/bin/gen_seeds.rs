@@ -3,15 +3,25 @@
 //! interesting failures live a few mutations away from valid bytes, not
 //! in random noise).
 //!
+//! The wire and state-metadata seeds come from a real session: an
+//! in-process `bfd` serves one tenant's create → observe → check →
+//! stats → drain, and every frame body plus the drained metadata become
+//! seeds.
+//!
 //! Run from anywhere: `cargo run -p browserflow-fuzz --bin gen_seeds`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::thread;
+use std::time::{Duration, Instant};
 
-use browserflow_fuzz::{first_shard, sample_store, SnapshotFixture};
+use browserflow::STATE_METADATA_FILE;
+use browserflow_daemon::protocol::write_frame;
+use browserflow_daemon::{Daemon, DaemonClient, DaemonConfig, ParagraphSlot, Request};
+use browserflow_fuzz::{first_shard, sample_flow, sample_paragraph, sample_store, SnapshotFixture};
 use browserflow_store::codec;
 use browserflow_store::persist::MANIFEST_FILE;
-use browserflow_store::StoreFormat;
+use browserflow_store::{SealedBytes, StoreFormat};
 
 fn corpus_dir(target: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -32,6 +42,122 @@ fn mode_seed(mode: u8, payload: &[u8]) -> Vec<u8> {
     seed.push(mode);
     seed.extend_from_slice(payload);
     seed
+}
+
+/// Every request and reply body one tenant's life exchanged with an
+/// in-process `bfd`, and the metadata JSON its tiered drain sealed.
+struct Session {
+    requests: Vec<(&'static str, Vec<u8>)>,
+    replies: Vec<(&'static str, Vec<u8>)>,
+    sealed_metadata: Vec<u8>,
+    metadata_json: Vec<u8>,
+}
+
+fn slots(indices: std::ops::Range<usize>) -> Vec<ParagraphSlot> {
+    indices
+        .map(|index| ParagraphSlot {
+            index,
+            text: sample_paragraph(index),
+        })
+        .collect()
+}
+
+fn record_session() -> Session {
+    let root = std::env::temp_dir().join(format!("bf-seeds-bfd-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    fs::create_dir_all(&root).expect("session dir");
+    let socket = root.join("bfd.sock");
+    let mut config = DaemonConfig::new(&socket);
+    config.state_root = Some(root.join("state"));
+    config.tiered_state = true;
+    let key = config.store_key.clone();
+    let daemon = Daemon::bind(config).expect("bfd binds");
+    let server = thread::spawn(move || daemon.run().expect("bfd runs"));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut client = loop {
+        match DaemonClient::connect(&socket) {
+            Ok(client) => break client,
+            Err(_) if Instant::now() < deadline => thread::sleep(Duration::from_millis(10)),
+            Err(e) => panic!("bfd never came up: {e}"),
+        }
+    };
+    let tenant = || "fuzz".to_string();
+    let exchanges = [
+        ("ping", Request::Ping),
+        (
+            "tenant-create",
+            Request::TenantCreate {
+                tenant: tenant(),
+                mode: "block".into(),
+                policy_json: serde_json::to_string(sample_flow().policy()).expect("policy"),
+                max_in_flight: 0,
+                queue_capacity: 0,
+            },
+        ),
+        (
+            "observe-batch",
+            Request::ObserveBatch {
+                tenant: tenant(),
+                service: "itool".into(),
+                document: "notes".into(),
+                paragraphs: slots(0..4),
+            },
+        ),
+        (
+            "observe",
+            Request::Observe {
+                tenant: tenant(),
+                service: "itool".into(),
+                document: "notes".into(),
+                index: 4,
+                text: sample_paragraph(4),
+            },
+        ),
+        (
+            "check",
+            Request::Check {
+                tenant: tenant(),
+                service: "gdocs".into(),
+                document: "leak".into(),
+                paragraphs: slots(1..3),
+            },
+        ),
+        (
+            "keystroke",
+            Request::Keystroke {
+                tenant: tenant(),
+                service: "gdocs".into(),
+                document: "leak".into(),
+                index: 0,
+                text: sample_paragraph(3),
+            },
+        ),
+        ("stats", Request::Stats { tenant: tenant() }),
+        ("lineage", Request::Lineage { tenant: tenant() }),
+        ("alerts", Request::Alerts { tenant: tenant() }),
+        ("tenant-list", Request::TenantList),
+        ("drain", Request::Drain),
+    ];
+    let mut requests = Vec::new();
+    let mut replies = Vec::new();
+    for (name, request) in exchanges {
+        let reply = client.request(&request).expect("bfd replies");
+        requests.push((name, serde_json::to_vec(&request).expect("request encodes")));
+        replies.push((name, serde_json::to_vec(&reply).expect("reply encodes")));
+    }
+    server.join().expect("bfd drains and exits");
+    let sealed_metadata =
+        fs::read(root.join("state").join("fuzz").join(STATE_METADATA_FILE)).expect("drained");
+    let metadata_json = key
+        .unseal(&SealedBytes::from_bytes(&sealed_metadata).expect("sealed metadata"))
+        .expect("metadata unseals");
+    let _ = fs::remove_dir_all(&root);
+    Session {
+        requests,
+        replies,
+        sealed_metadata,
+        metadata_json,
+    }
 }
 
 fn main() {
@@ -61,6 +187,40 @@ fn main() {
 
     let _ = fs::remove_dir_all(&v2.dir);
     let _ = fs::remove_dir_all(&v3.dir);
+
+    let session = record_session();
+
+    println!("fuzz_wire_decode seeds (real frames of one bfd session):");
+    let dir = corpus_dir("fuzz_wire_decode");
+    for (name, body) in &session.requests {
+        write_seed(&dir, &format!("request-{name}"), &mode_seed(0, body));
+    }
+    for (name, body) in &session.replies {
+        write_seed(&dir, &format!("reply-{name}"), &mode_seed(1, body));
+    }
+    let mut stream = Vec::new();
+    for (_, body) in &session.requests {
+        write_frame(&mut stream, body).expect("frame");
+    }
+    write_seed(&dir, "stream-session", &mode_seed(2, &stream));
+    // The same stream cut mid-way through its last frame.
+    let (_, last) = session.requests.last().expect("session sent requests");
+    let cut = stream.len() - last.len() / 2 - 1;
+    write_seed(&dir, "stream-truncated", &mode_seed(2, &stream[..cut]));
+
+    println!("fuzz_state_metadata seeds (the metadata of a real bfd drain):");
+    let dir = corpus_dir("fuzz_state_metadata");
+    write_seed(
+        &dir,
+        "drained-metadata",
+        &mode_seed(0, &session.metadata_json),
+    );
+    write_seed(
+        &dir,
+        "envelope-metadata",
+        &mode_seed(1, &session.metadata_json),
+    );
+    write_seed(&dir, "sealed-file", &mode_seed(2, &session.sealed_metadata));
 
     println!("fuzz_incremental_edits seeds (hand-laid edit scripts):");
     let dir = corpus_dir("fuzz_incremental_edits");

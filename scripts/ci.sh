@@ -16,7 +16,8 @@
 #      scalar kernel (BF_FORCE_SCALAR=1) and on the runtime-detected
 #      native kernel, so the SIMD and scalar paths both pass the full
 #      unit + proptest suite on every host
-#   8. a bounded fuzz smoke of both fuzz targets (store codec on
+#   8. a bounded fuzz smoke of all four fuzz targets (store codec,
+#      wire request/reply/frame decode and restored state metadata on
 #      arbitrary bytes; incremental-vs-full fingerprint equivalence):
 #      through `cargo fuzz` when a nightly toolchain with cargo-fuzz is
 #      installed, otherwise directly against the vendored
@@ -42,22 +43,27 @@
 #      than the per-paragraph observe loop at 15 k paragraphs, after
 #      checking the two ingest shapes observation-equivalent; skipped
 #      loudly if the release binary is absent
-#  13. a daemon smoke test: boot a release bfd on a temp socket, drive it
+#  13. a release-mode run of the wire decode-scaling microbench, which
+#      regenerates BENCH_decode.json and asserts JSON decode ns/byte on a
+#      128-paragraph Check frame stays <= BF_DECODE_CEILING (default 2x)
+#      of the value on an 8-paragraph frame; skipped loudly if the
+#      release binary is absent
+#  14. a daemon smoke test: boot a release bfd on a temp socket, drive it
 #      with bfctl daemon (create -> observe -> check -> stats) including
 #      a multi-paragraph --stdin observe that ships one ObserveBatch
 #      frame, SIGTERM it, and assert clean exit plus a persisted tenant
 #      state directory that a second bfd restores
-#  14. a kill -9 durability smoke: boot bfd with --snapshot-interval,
+#  15. a kill -9 durability smoke: boot bfd with --snapshot-interval,
 #      drive a cross-service flow, wait past one interval, kill -9 the
 #      daemon, and assert a rebinding bfd restores the tenant with the
 #      check still blocking and the lineage graph intact (at most one
 #      interval of work may be lost)
-#  15. the exfiltration-sentinel covert-flow corpus, which regenerates
+#  16. the exfiltration-sentinel covert-flow corpus, which regenerates
 #      BENCH_sentinel.json and gates on recall >= 0.9 and precision
 #      >= 0.8 (override with BF_SENTINEL_RECALL_FLOOR /
 #      BF_SENTINEL_PRECISION_FLOOR); skipped loudly if the release
 #      binary is absent
-#  16. a smoke run of the end-to-end `bfd` benchmark (all four
+#  17. a smoke run of the end-to-end `bfd` benchmark (all four
 #      BENCHMARK.json workloads, scaled down), which must report every
 #      verdict correct and no failed operation
 #
@@ -160,13 +166,15 @@ echo "==> fingerprint suite on the native kernel"
 # …and again on whatever kernel this host dispatches to natively.
 cargo test -q -p browserflow-fingerprint
 
-echo "==> bounded fuzz smoke (store codec, incremental edits)"
+echo "==> bounded fuzz smoke (store codec, wire decode, state metadata, incremental edits)"
 # Prefers real cargo-fuzz (nightly + sanitizer + coverage feedback) when
 # installed; otherwise falls back to the vendored libfuzzer-sys stand-in,
 # which replays the checked-in seed corpora and runs bounded mutation
 # rounds. A panic in either target fails the gate.
 if cargo +nightly fuzz --version >/dev/null 2>&1; then
     cargo +nightly fuzz run fuzz_store_codec -- -runs=512
+    cargo +nightly fuzz run fuzz_wire_decode -- -runs=512
+    cargo +nightly fuzz run fuzz_state_metadata -- -runs=512
     cargo +nightly fuzz run fuzz_incremental_edits -- -runs=512
 else
     echo 'WARNING: cargo-fuzz/nightly not installed — running the fuzz targets' >&2
@@ -174,6 +182,10 @@ else
     echo 'WARNING: no coverage feedback). Install cargo-fuzz for real fuzzing.' >&2
     cargo run -q --release -p browserflow-fuzz --bin fuzz_store_codec -- \
         -runs=2048 fuzz/corpus/fuzz_store_codec
+    cargo run -q --release -p browserflow-fuzz --bin fuzz_wire_decode -- \
+        -runs=2048 fuzz/corpus/fuzz_wire_decode
+    cargo run -q --release -p browserflow-fuzz --bin fuzz_state_metadata -- \
+        -runs=2048 fuzz/corpus/fuzz_state_metadata
     cargo run -q --release -p browserflow-fuzz --bin fuzz_incremental_edits -- \
         -runs=2048 fuzz/corpus/fuzz_incremental_edits
 fi
@@ -216,6 +228,21 @@ else
     echo 'WARNING: target/release/bench_ingest is not built — the batched-ingest' >&2
     echo 'WARNING: lock-reduction gate was SKIPPED. Run cargo build --release' >&2
     echo 'WARNING: and re-run ci.sh for full coverage.' >&2
+fi
+
+echo "==> wire decode-scaling microbench (release)"
+# Regenerates BENCH_decode.json; the binary asserts the median JSON
+# decode ns/byte of a 128-paragraph Check frame is <= BF_DECODE_CEILING
+# (default 2x) of the 8-paragraph frame's, i.e. that request and
+# restore decoding stay linear in input size.
+DECODE=target/release/bench_decode
+if [[ -x "$DECODE" ]]; then
+    "$DECODE"
+    grep -q '"scaling"' BENCH_decode.json
+else
+    echo 'WARNING: target/release/bench_decode is not built — the decode-scaling' >&2
+    echo 'WARNING: gate was SKIPPED. Run cargo build --release and re-run ci.sh' >&2
+    echo 'WARNING: for full coverage.' >&2
 fi
 
 echo "==> daemon smoke test (bfd + bfctl daemon, SIGTERM drain, restore)"
