@@ -5,12 +5,12 @@
 //! with the median and quartiles, to `BENCH_decode.json` at the repo
 //! root.
 //!
-//! The gate: the median ns/byte at 128 paragraphs is at most
-//! `BF_DECODE_CEILING` (default 2.0) times the median at 8. A decoder
-//! that is linear in frame size holds the ratio near 1; one that
-//! re-scans the rest of the input per character grows it with the frame.
+//! The gate: the median ns/byte at 128 paragraphs is at most [`CEILING`]
+//! times the median at 8. A decoder that is linear in frame size holds
+//! the ratio near 1 on any host; one that re-scans the rest of the input
+//! per character grows it with the frame (about 10x).
 
-use browserflow_bench::{decode, env_floor, host_cores, print_header, report};
+use browserflow_bench::{decode, host_cores, print_header, report};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -20,37 +20,34 @@ struct Report {
     sizes: Vec<decode::SizeResult>,
 }
 
-fn main() {
-    let ceiling = env_floor("BF_DECODE_CEILING", 2.0);
+/// Largest allowed ratio of ns/byte at 128 paragraphs over 8.
+const CEILING: f64 = 2.0;
 
+fn main() {
     print_header(
         "Wire decode scaling: serde_json::from_slice::<Request> on Check frames",
         &format!(
-            "{} timed repeats per size after one warm-up; host_cores = {}",
+            "{} timed repeats per size after one warm-up, sizes interleaved; host_cores = {}",
             decode::REPEATS,
             host_cores()
         ),
     );
+    let sizes = decode::run();
     println!(
         "{:>11} {:>12} {:>11} {:>11} {:>9} {:>9}",
         "paragraphs", "frame_bytes", "iterations", "median_ns/B", "p25", "p75"
     );
-    let sizes: Vec<decode::SizeResult> = decode::PARAGRAPH_COUNTS
-        .iter()
-        .map(|&n| {
-            let r = decode::run_size(n);
-            println!(
-                "{:>11} {:>12} {:>11} {:>11.2} {:>9.2} {:>9.2}",
-                r.paragraphs,
-                r.frame_bytes,
-                r.iterations,
-                r.median_ns_per_byte,
-                r.p25_ns_per_byte,
-                r.p75_ns_per_byte
-            );
-            r
-        })
-        .collect();
+    for r in &sizes {
+        println!(
+            "{:>11} {:>12} {:>11} {:>11.2} {:>9.2} {:>9.2}",
+            r.paragraphs,
+            r.frame_bytes,
+            r.iterations,
+            r.median_ns_per_byte,
+            r.p25_ns_per_byte,
+            r.p75_ns_per_byte
+        );
+    }
 
     let (smallest, largest) = (&sizes[0], &sizes[sizes.len() - 1]);
     let scaling = largest.median_ns_per_byte / smallest.median_ns_per_byte;
@@ -59,11 +56,11 @@ fn main() {
         "decode",
         "serde_json::from_slice::<Request> on one Request::Check frame body per size, \
          decoded `iterations` times per repeat; ns_per_byte lists every timed repeat in \
-         run order (one untimed warm-up first), quartiles as Python's \
+         run order (one untimed warm-up first; each round times every size once), quartiles as Python's \
          statistics.quantiles(n=4); scaling = median ns/byte at the largest size over \
          the smallest, the CI-gated figure",
         &Report {
-            ceiling,
+            ceiling: CEILING,
             scaling,
             sizes,
         },
@@ -71,11 +68,11 @@ fn main() {
 
     println!(
         "\ndecode ns/byte at {large_n} paragraphs is {scaling:.2}x the value at \
-         {small_n} (ceiling {ceiling:.1}x)"
+         {small_n} (ceiling {CEILING:.1}x)"
     );
     assert!(
-        scaling <= ceiling,
+        scaling <= CEILING,
         "JSON decode must stay linear: ns/byte at {large_n} paragraphs may be at most \
-         {ceiling:.1}x the value at {small_n}; measured {scaling:.2}x"
+         {CEILING:.1}x the value at {small_n}; measured {scaling:.2}x"
     );
 }

@@ -863,36 +863,54 @@ pub mod decode {
         (cut(1), cut(2), cut(3))
     }
 
-    /// Times one frame size; panics if the frame does not decode back to
-    /// the request it was encoded from.
-    pub fn run_size(paragraphs: usize) -> SizeResult {
-        let request = check_request(paragraphs);
-        let body = serde_json::to_vec(&request).expect("request encodes");
-        let decoded: Request = serde_json::from_slice(&body).expect("frame decodes");
-        assert_eq!(decoded, request, "decode must round-trip the frame");
-        let iterations = (BYTES_PER_REPEAT / body.len()).max(3);
-        let ns_per_byte: Vec<f64> = (0..=REPEATS)
-            .map(|_| {
+    /// Times every size of [`PARAGRAPH_COUNTS`], one repeat of each size
+    /// in turn, so a burst of host noise lands on all sizes alike rather
+    /// than on one size's block of repeats. Panics if a frame does not
+    /// decode back to the request it was encoded from.
+    pub fn run() -> Vec<SizeResult> {
+        let frames: Vec<(usize, Vec<u8>, usize)> = PARAGRAPH_COUNTS
+            .iter()
+            .map(|&paragraphs| {
+                let request = check_request(paragraphs);
+                let body = serde_json::to_vec(&request).expect("request encodes");
+                let decoded: Request = serde_json::from_slice(&body).expect("frame decodes");
+                assert_eq!(decoded, request, "decode must round-trip the frame");
+                let iterations = (BYTES_PER_REPEAT / body.len()).max(3);
+                (paragraphs, body, iterations)
+            })
+            .collect();
+        let mut timings = vec![Vec::with_capacity(REPEATS); frames.len()];
+        for repeat in 0..=REPEATS {
+            for ((_, body, iterations), ns_per_byte) in frames.iter().zip(&mut timings) {
                 let start = Instant::now();
-                for _ in 0..iterations {
+                for _ in 0..*iterations {
                     let request: Request =
-                        serde_json::from_slice(black_box(&body)).expect("frame decodes");
+                        serde_json::from_slice(black_box(body)).expect("frame decodes");
                     black_box(request);
                 }
-                start.elapsed().as_nanos() as f64 / (iterations * body.len()) as f64
-            })
-            .skip(1) // warm-up
-            .collect();
-        let (p25, median, p75) = quartiles(&ns_per_byte);
-        SizeResult {
-            paragraphs,
-            frame_bytes: body.len(),
-            iterations,
-            ns_per_byte,
-            median_ns_per_byte: median,
-            p25_ns_per_byte: p25,
-            p75_ns_per_byte: p75,
+                // Repeat 0 is the warm-up.
+                if repeat > 0 {
+                    ns_per_byte
+                        .push(start.elapsed().as_nanos() as f64 / (iterations * body.len()) as f64);
+                }
+            }
         }
+        frames
+            .into_iter()
+            .zip(timings)
+            .map(|((paragraphs, body, iterations), ns_per_byte)| {
+                let (p25, median, p75) = quartiles(&ns_per_byte);
+                SizeResult {
+                    paragraphs,
+                    frame_bytes: body.len(),
+                    iterations,
+                    ns_per_byte,
+                    median_ns_per_byte: median,
+                    p25_ns_per_byte: p25,
+                    p75_ns_per_byte: p75,
+                }
+            })
+            .collect()
     }
 }
 

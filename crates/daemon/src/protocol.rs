@@ -15,7 +15,7 @@
 //! one at the transport layer.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use serde::{Deserialize, Serialize};
 
@@ -72,9 +72,10 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Writes one `len ‖ body` frame with a single `write_all`, so an
-/// unbuffered socket pays one syscall and the peer never wakes on a
-/// header alone.
+/// Writes one `len ‖ body` frame as a vectored write of the header and
+/// the body, so an unbuffered socket pays one syscall (`writev`), the
+/// peer never wakes on a header alone, and the body is not copied. A
+/// short write is resumed where it stopped.
 ///
 /// # Errors
 ///
@@ -86,10 +87,20 @@ pub fn write_frame(writer: &mut impl Write, body: &[u8]) -> Result<(), FrameErro
             declared: body.len() as u64,
         });
     }
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(body);
-    writer.write_all(&frame)?;
+    let header = (body.len() as u32).to_le_bytes();
+    let mut sent = 0;
+    while sent < header.len() + body.len() {
+        let parts = [
+            IoSlice::new(&header[sent.min(header.len())..]),
+            IoSlice::new(&body[sent.saturating_sub(header.len())..]),
+        ];
+        match writer.write_vectored(&parts) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     writer.flush()?;
     Ok(())
 }
@@ -535,9 +546,15 @@ mod tests {
         }
         impl Write for CountingSink {
             fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.write_vectored(&[IoSlice::new(buf)])
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
                 self.writes += 1;
-                self.bytes.extend_from_slice(buf);
-                Ok(buf.len())
+                let before = self.bytes.len();
+                for buf in bufs {
+                    self.bytes.extend_from_slice(buf);
+                }
+                Ok(self.bytes.len() - before)
             }
             fn flush(&mut self) -> io::Result<()> {
                 Ok(())
@@ -550,6 +567,29 @@ mod tests {
             read_request(&mut &sink.bytes[..]).unwrap(),
             Some(Request::Ping)
         );
+    }
+
+    #[test]
+    fn short_writes_still_send_the_whole_frame() {
+        /// Accepts at most three bytes per call, from the first buffer
+        /// only (the default `write_vectored`).
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let n = buf.len().min(3);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let request = Request::Stats {
+            tenant: "trickle".into(),
+        };
+        let mut sink = Trickle(Vec::new());
+        write_request(&mut sink, &request).unwrap();
+        assert_eq!(read_request(&mut &sink.0[..]).unwrap(), Some(request));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! The wire and state-metadata seeds come from a real session: an
 //! in-process `bfd` serves one tenant's create → observe → check →
 //! stats → drain, and every frame body plus the drained metadata become
-//! seeds.
+//! seeds. The few run-dependent values (reply latencies, the state
+//! path, the seal's nonce) are pinned, so a rerun rewrites every seed
+//! byte-identically.
 //!
 //! Run from anywhere: `cargo run -p browserflow-fuzz --bin gen_seeds`.
 
@@ -17,11 +19,13 @@ use std::time::{Duration, Instant};
 
 use browserflow::STATE_METADATA_FILE;
 use browserflow_daemon::protocol::write_frame;
-use browserflow_daemon::{Daemon, DaemonClient, DaemonConfig, ParagraphSlot, Request};
-use browserflow_fuzz::{first_shard, sample_flow, sample_paragraph, sample_store, SnapshotFixture};
+use browserflow_daemon::{Daemon, DaemonClient, DaemonConfig, ParagraphSlot, Reply, Request};
+use browserflow_fuzz::{
+    first_shard, sample_flow, sample_paragraph, sample_store, SnapshotFixture, STATE_KEY,
+};
 use browserflow_store::codec;
 use browserflow_store::persist::MANIFEST_FILE;
-use browserflow_store::{SealedBytes, StoreFormat};
+use browserflow_store::{SealedBytes, StoreFormat, StoreKey};
 
 fn corpus_dir(target: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -49,8 +53,27 @@ fn mode_seed(mode: u8, payload: &[u8]) -> Vec<u8> {
 struct Session {
     requests: Vec<(&'static str, Vec<u8>)>,
     replies: Vec<(&'static str, Vec<u8>)>,
-    sealed_metadata: Vec<u8>,
     metadata_json: Vec<u8>,
+}
+
+/// Pins the run-dependent fields of a reply: the measured latency, and
+/// the state directory under this run's temp root.
+fn pin(reply: Reply, root: &Path) -> Reply {
+    match reply {
+        Reply::Decisions { decisions, .. } => Reply::Decisions {
+            decisions,
+            latency_us: 0,
+        },
+        Reply::Drained { mut reports } => {
+            for report in &mut reports {
+                if let Ok(relative) = Path::new(&report.persisted_to).strip_prefix(root) {
+                    report.persisted_to = relative.display().to_string();
+                }
+            }
+            Reply::Drained { reports }
+        }
+        other => other,
+    }
 }
 
 fn slots(indices: std::ops::Range<usize>) -> Vec<ParagraphSlot> {
@@ -70,6 +93,7 @@ fn record_session() -> Session {
     let mut config = DaemonConfig::new(&socket);
     config.state_root = Some(root.join("state"));
     config.tiered_state = true;
+    config.store_key = StoreKey::from_bytes(STATE_KEY);
     let key = config.store_key.clone();
     let daemon = Daemon::bind(config).expect("bfd binds");
     let server = thread::spawn(move || daemon.run().expect("bfd runs"));
@@ -143,6 +167,7 @@ fn record_session() -> Session {
     for (name, request) in exchanges {
         let reply = client.request(&request).expect("bfd replies");
         requests.push((name, serde_json::to_vec(&request).expect("request encodes")));
+        let reply = pin(reply, &root);
         replies.push((name, serde_json::to_vec(&reply).expect("reply encodes")));
     }
     server.join().expect("bfd drains and exits");
@@ -155,7 +180,6 @@ fn record_session() -> Session {
     Session {
         requests,
         replies,
-        sealed_metadata,
         metadata_json,
     }
 }
@@ -220,7 +244,10 @@ fn main() {
         "envelope-metadata",
         &mode_seed(1, &session.metadata_json),
     );
-    write_seed(&dir, "sealed-file", &mode_seed(2, &session.sealed_metadata));
+    // The drained metadata sealed again under a fixed nonce: the file
+    // `load_from_dir` reads, minus the drain's random nonce.
+    let sealed = StoreKey::from_bytes(STATE_KEY).seal_with_nonce(1, &session.metadata_json);
+    write_seed(&dir, "sealed-file", &mode_seed(2, &sealed.to_bytes()));
 
     println!("fuzz_incremental_edits seeds (hand-laid edit scripts):");
     let dir = corpus_dir("fuzz_incremental_edits");

@@ -45,9 +45,8 @@
 #      loudly if the release binary is absent
 #  13. a release-mode run of the wire decode-scaling microbench, which
 #      regenerates BENCH_decode.json and asserts JSON decode ns/byte on a
-#      128-paragraph Check frame stays <= BF_DECODE_CEILING (default 2x)
-#      of the value on an 8-paragraph frame; skipped loudly if the
-#      release binary is absent
+#      128-paragraph Check frame stays <= 2x the value on an
+#      8-paragraph frame; skipped loudly if the release binary is absent
 #  14. a daemon smoke test: boot a release bfd on a temp socket, drive it
 #      with bfctl daemon (create -> observe -> check -> stats) including
 #      a multi-paragraph --stdin observe that ships one ObserveBatch
@@ -232,13 +231,12 @@ fi
 
 echo "==> wire decode-scaling microbench (release)"
 # Regenerates BENCH_decode.json; the binary asserts the median JSON
-# decode ns/byte of a 128-paragraph Check frame is <= BF_DECODE_CEILING
-# (default 2x) of the 8-paragraph frame's, i.e. that request and
-# restore decoding stay linear in input size.
+# decode ns/byte of a 128-paragraph Check frame is <= 2x the
+# 8-paragraph frame's, i.e. that request and restore decoding stay
+# linear in input size.
 DECODE=target/release/bench_decode
 if [[ -x "$DECODE" ]]; then
     "$DECODE"
-    grep -q '"scaling"' BENCH_decode.json
 else
     echo 'WARNING: target/release/bench_decode is not built — the decode-scaling' >&2
     echo 'WARNING: gate was SKIPPED. Run cargo build --release and re-run ci.sh' >&2
