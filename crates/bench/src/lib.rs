@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment binaries and criterion benches.
+//! Shared helpers for the experiment binaries and the `bench_*` micro-benches.
 //!
 //! Every table and figure of the paper's evaluation (§6) has a binary in
 //! `src/bin` that regenerates it:

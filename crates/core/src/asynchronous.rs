@@ -40,11 +40,13 @@ use crate::middleware::{BrowserFlow, MiddlewareError, UploadAction, UploadDecisi
 use crate::request::CheckRequest;
 use browserflow_fingerprint::TextEdit;
 use browserflow_tdm::ServiceId;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{
+    sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError,
+};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -214,7 +216,7 @@ struct CheckJob {
     /// is still the newest submission for `key`.
     coalesce: Option<(CoalesceKey, u64)>,
     submitted: Instant,
-    reply: Sender<CheckReply>,
+    reply: SyncSender<CheckReply>,
 }
 
 /// A keystroke travelling through the queue as an *edit* instead of the
@@ -229,7 +231,7 @@ struct EditJob {
     edit: TextEdit,
     coalesce: (CoalesceKey, u64),
     submitted: Instant,
-    reply: Sender<CheckReply>,
+    reply: SyncSender<CheckReply>,
 }
 
 enum Request {
@@ -238,13 +240,13 @@ enum Request {
         document: String,
         index: usize,
         text: String,
-        reply: Sender<Result<(), DeciderError>>,
+        reply: SyncSender<Result<(), DeciderError>>,
     },
     ObserveBatch {
         service: ServiceId,
         document: String,
         paragraphs: Vec<(usize, String)>,
-        reply: Sender<Result<usize, DeciderError>>,
+        reply: SyncSender<Result<usize, DeciderError>>,
     },
     Check(Box<CheckJob>),
     EditCheck(Box<EditJob>),
@@ -331,8 +333,8 @@ impl PendingBatch {
     pub fn poll(&self) -> Option<Result<TimedBatch, DeciderError>> {
         match self.response.try_recv() {
             Ok(result) => Some(result),
-            Err(crossbeam::channel::TryRecvError::Empty) => None,
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Some(Err(DeciderError::Closed)),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(Err(DeciderError::Closed)),
         }
     }
 }
@@ -402,7 +404,7 @@ impl PendingDecision {
 /// ```
 #[derive(Debug)]
 pub struct AsyncDecider {
-    requests: Option<Sender<Request>>,
+    requests: Option<SyncSender<Request>>,
     worker: Option<JoinHandle<BrowserFlow>>,
     shared: Arc<Shared>,
     config: DeciderConfig,
@@ -417,7 +419,7 @@ impl AsyncDecider {
 
     /// Moves `flow` onto a worker thread with an explicit configuration.
     pub fn spawn_with(flow: BrowserFlow, config: DeciderConfig) -> Self {
-        let (requests, inbox) = bounded(config.queue_capacity.max(1));
+        let (requests, inbox) = sync_channel(config.queue_capacity.max(1));
         let shared = Arc::new(Shared::default());
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
@@ -442,7 +444,7 @@ impl AsyncDecider {
         self.shared.snapshot()
     }
 
-    fn sender(&self) -> Result<&Sender<Request>, DeciderError> {
+    fn sender(&self) -> Result<&SyncSender<Request>, DeciderError> {
         self.requests.as_ref().ok_or(DeciderError::Closed)
     }
 
@@ -493,7 +495,7 @@ impl AsyncDecider {
         index: usize,
         text: impl Into<String>,
     ) -> Result<(), DeciderError> {
-        let (reply, response) = bounded(1);
+        let (reply, response) = sync_channel(1);
         self.enqueue(Request::Observe {
             service: service.into(),
             document: document.into(),
@@ -513,7 +515,7 @@ impl AsyncDecider {
         document: impl Into<String>,
         paragraphs: Vec<(usize, String)>,
     ) -> Result<usize, DeciderError> {
-        let (reply, response) = bounded(1);
+        let (reply, response) = sync_channel(1);
         self.enqueue(Request::ObserveBatch {
             service: service.into(),
             document: document.into(),
@@ -593,7 +595,7 @@ impl AsyncDecider {
         let document = document.into();
         let key: CoalesceKey = (service.clone(), document.clone(), index);
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let (reply, response) = bounded(1);
+        let (reply, response) = sync_channel(1);
         let job = Box::new(EditJob {
             service,
             document,
@@ -643,7 +645,7 @@ impl AsyncDecider {
         &self,
         f: impl FnOnce(&BrowserFlow) -> T + Send + 'static,
     ) -> Result<T, DeciderError> {
-        let (reply, response) = bounded(1);
+        let (reply, response) = sync_channel(1);
         self.enqueue(Request::Inspect(Box::new(move |flow: &BrowserFlow| {
             let _ = reply.send(f(flow));
         })))?;
@@ -681,7 +683,7 @@ impl AsyncDecider {
         request: CheckRequest<'_>,
         coalesce: Option<(CoalesceKey, u64)>,
     ) -> (Box<CheckJob>, PendingBatch) {
-        let (reply, response) = bounded(1);
+        let (reply, response) = sync_channel(1);
         let job = Box::new(CheckJob {
             request: request.into_owned(),
             coalesce,

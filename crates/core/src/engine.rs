@@ -4,7 +4,7 @@
 use browserflow_fingerprint::{
     Fingerprint, FingerprintConfig, Fingerprinter, IncrementalFingerprinter, KernelKind, TextEdit,
 };
-use browserflow_store::pool::WorkerPool;
+use browserflow_store::pool::{fan_out, WorkerPool};
 use browserflow_store::{
     DecisionCache, FingerprintDigest, FingerprintStore, FxHashMap, IncrementalChecker, SegmentId,
     Timestamp,
@@ -564,64 +564,23 @@ impl DisclosureEngine {
     ) -> Result<Vec<Vec<DisclosureMatch>>, WorkerPanic> {
         // Allocate every id up front so worker threads never race on the
         // registry write lock in allocation order.
-        let ids: Vec<SegmentId> = paragraphs
+        let jobs: Vec<(SegmentId, &str)> = paragraphs
             .iter()
-            .map(|&(index, _)| self.segment_id(&SegmentKey::paragraph(doc.clone(), index)))
+            .map(|&(index, text)| {
+                let key = SegmentKey::paragraph(doc.clone(), index);
+                (self.segment_id(&key), text)
+            })
             .collect();
-        if workers <= 1 || paragraphs.len() < 2 {
-            // Same containment guarantee on the calling-thread path. The
-            // engine's interior mutability is panic-tolerant here: a check
-            // only reads the stores and updates the (per-entry consistent)
-            // decision cache, and parking_lot locks do not poison.
-            return std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ids.iter()
-                    .zip(paragraphs)
-                    .map(|(&id, &(_, text))| self.check_paragraph_by_id(id, text))
-                    .collect()
-            }))
-            .map_err(|payload| WorkerPanic {
-                detail: panic_detail(payload.as_ref()),
-            });
-        }
-        let jobs: Vec<(SegmentId, &str)> = ids
-            .into_iter()
-            .zip(paragraphs.iter().map(|&(_, text)| text))
-            .collect();
-        let chunk_len = jobs.len().div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move |_| {
-                        chunk
-                            .iter()
-                            .map(|&(id, text)| self.check_paragraph_by_id(id, text))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let mut results = Vec::with_capacity(jobs.len());
-            let mut panic: Option<WorkerPanic> = None;
-            for handle in handles {
-                match handle.join() {
-                    Ok(chunk) => results.extend(chunk),
-                    Err(payload) => {
-                        // Keep joining the remaining handles so the scope
-                        // exits cleanly; report the first panic.
-                        if panic.is_none() {
-                            panic = Some(WorkerPanic {
-                                detail: panic_detail(payload.as_ref()),
-                            });
-                        }
-                    }
-                }
-            }
-            match panic {
-                None => Ok(results),
-                Some(p) => Err(p),
-            }
+        // A panicking check is contained on either path: the engine's
+        // interior mutability is panic-tolerant here, since a check only
+        // reads the stores and updates the (per-entry consistent)
+        // decision cache, and parking_lot locks do not poison.
+        fan_out(&jobs, workers, |&(id, text)| {
+            self.check_paragraph_by_id(id, text)
         })
-        .expect("scoped check threads join cleanly")
+        .map_err(|payload| WorkerPanic {
+            detail: panic_detail(payload.as_ref()),
+        })
     }
 
     /// Document-granularity disclosure check (uncached; document checks are

@@ -27,6 +27,7 @@
 //! [`LineageCodecError`], never panic, and identical graphs always encode
 //! to identical bytes (drain → restore round-trips are byte-for-byte).
 
+use browserflow_store::codec::crc32;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -177,7 +178,7 @@ impl LineageGraph {
         stored
     }
 
-    /// Replays an edge that already carries a clock (restore path).
+    /// Replays an edge that already carries a clock.
     /// Order-insensitive per clock: merging the same edges in any order
     /// produces the same graph, because a duplicate keeps the *smallest*
     /// clock and the graph clock advances to the maximum seen.
@@ -402,7 +403,9 @@ pub enum LineageCodecError {
     /// The trailing CRC-32 did not match the payload (corruption).
     BadChecksum,
     /// A field held an invalid value (operation byte, non-UTF-8 string,
-    /// oversized length, trailing garbage).
+    /// oversized length, out-of-order or duplicate edge, an edge clock
+    /// past the graph clock, a non-canonical alert chunk, trailing
+    /// garbage).
     Malformed,
 }
 
@@ -424,18 +427,6 @@ const VERSION: u16 = 1;
 /// Upper bound on any single length field — snapshots are small; a
 /// multi-gigabyte declared length is hostile input, not data.
 const MAX_FIELD_LEN: usize = 1 << 24;
-
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 fn push_str(out: &mut Vec<u8>, value: &str) {
     out.extend_from_slice(&(value.len() as u32).to_le_bytes());
@@ -517,10 +508,16 @@ pub fn encode_snapshot(graph: &LineageGraph, alerts: &[ExfiltrationAlert]) -> Ve
 
 /// Restores a graph and its alert trail from snapshot bytes.
 ///
+/// Only the encoder's own form is accepted: edges in strictly ascending
+/// content order, no edge clock above the graph clock, and the alert
+/// chunk exactly as [`encode_snapshot`] writes it. So a snapshot that
+/// decodes re-encodes to the same bytes.
+///
 /// # Errors
 ///
 /// Fails closed with [`LineageCodecError`] on truncation, corruption,
-/// bad headers, hostile lengths or trailing garbage — never panics.
+/// bad headers, hostile lengths, non-canonical content or trailing
+/// garbage — never panics.
 pub fn decode_snapshot(
     bytes: &[u8],
 ) -> Result<(LineageGraph, Vec<ExfiltrationAlert>), LineageCodecError> {
@@ -547,7 +544,7 @@ pub fn decode_snapshot(
     if edge_count > MAX_FIELD_LEN {
         return Err(LineageCodecError::Malformed);
     }
-    let graph = LineageGraph::new();
+    let mut edges: Vec<(EdgeKey, u64)> = Vec::new();
     for _ in 0..edge_count {
         let operation = FlowOperation::from_u8(reader.u8()?).ok_or(LineageCodecError::Malformed)?;
         let edge_clock = reader.u64()?;
@@ -555,14 +552,11 @@ pub fn decode_snapshot(
         let sink = reader.string()?;
         let segment = reader.string()?;
         let into = reader.string()?;
-        graph.replay(FlowEdge {
-            source,
-            sink,
-            segment,
-            into,
-            operation,
-            clock: edge_clock,
-        });
+        let key = (source, sink, segment, into, operation);
+        if edge_clock > clock || edges.last().is_some_and(|(last, _)| *last >= key) {
+            return Err(LineageCodecError::Malformed);
+        }
+        edges.push((key, edge_clock));
     }
     let alerts_len = reader.u32()? as usize;
     if alerts_len > MAX_FIELD_LEN {
@@ -571,11 +565,15 @@ pub fn decode_snapshot(
     let alerts_json = reader.take(alerts_len)?;
     let alerts: Vec<ExfiltrationAlert> =
         serde_json::from_slice(alerts_json).map_err(|_| LineageCodecError::Malformed)?;
-    if reader.pos != payload.len() {
+    if reader.pos != payload.len()
+        || serde_json::to_vec(&alerts).ok().as_deref() != Some(alerts_json)
+    {
         return Err(LineageCodecError::Malformed);
     }
-    // The stored clock must cover every edge (replay already maxed it).
-    graph.clock.fetch_max(clock, Ordering::Relaxed);
+    let graph = LineageGraph {
+        edges: Mutex::new(edges.into_iter().collect()),
+        clock: AtomicU64::new(clock),
+    };
     Ok((graph, alerts))
 }
 
@@ -811,6 +809,48 @@ mod tests {
             decode_snapshot(&payload),
             Err(LineageCodecError::Malformed)
         ));
+    }
+
+    #[test]
+    fn non_canonical_snapshots_fail_closed() {
+        // Each payload carries a valid CRC, so only the canonical-form
+        // checks stand between it and a graph that would re-encode to
+        // other bytes.
+        fn snapshot(clock: u64, edges: &[(&str, u64)], alerts: &str) -> Vec<u8> {
+            let mut out = Vec::new();
+            out.extend_from_slice(MAGIC);
+            out.extend_from_slice(&VERSION.to_le_bytes());
+            out.extend_from_slice(&clock.to_le_bytes());
+            out.extend_from_slice(&(edges.len() as u32).to_le_bytes());
+            for &(source, edge_clock) in edges {
+                out.push(FlowOperation::Observe.to_u8());
+                out.extend_from_slice(&edge_clock.to_le_bytes());
+                for field in [source, "wiki", "docs/d#p0", "wiki/w#p0"] {
+                    push_str(&mut out, field);
+                }
+            }
+            push_str(&mut out, alerts);
+            let crc = crc32(&out);
+            out.extend_from_slice(&crc.to_le_bytes());
+            out
+        }
+        let canonical = snapshot(2, &[("a", 1), ("b", 2)], "[]");
+        let (graph, alerts) = decode_snapshot(&canonical).unwrap();
+        assert_eq!(encode_snapshot(&graph, &alerts), canonical);
+        for (case, bytes) in [
+            ("out of order", snapshot(2, &[("b", 2), ("a", 1)], "[]")),
+            ("duplicate edge", snapshot(2, &[("a", 1), ("a", 2)], "[]")),
+            (
+                "edge past the clock",
+                snapshot(1, &[("a", 1), ("b", 2)], "[]"),
+            ),
+            ("alerts not as encoded", snapshot(2, &[("a", 1)], "[ ]")),
+        ] {
+            assert!(
+                matches!(decode_snapshot(&bytes), Err(LineageCodecError::Malformed)),
+                "{case}"
+            );
+        }
     }
 
     proptest! {

@@ -611,19 +611,14 @@ impl BrowserFlow {
                 decision.action = self.violation_action();
             }
             let slot_key = SegmentKey::paragraph(doc.clone(), index);
-            if !decision.violations.is_empty() {
-                self.warnings.lock().push(Warning {
-                    segment: slot_key.clone(),
-                    destination: service.clone(),
-                    violations: decision.violations.clone(),
-                });
-            }
+            let warning_index = self.record_warning(service, &slot_key, &decision);
             self.record_flows_and_alerts(
                 service,
                 &slot_key,
                 matches,
                 &decision,
                 FlowOperation::Check,
+                warning_index,
             );
             decisions.push(decision);
         }
@@ -690,19 +685,14 @@ impl BrowserFlow {
             decision.action = self.violation_action();
         }
         let slot_key = SegmentKey::paragraph(doc, index);
-        if !decision.violations.is_empty() {
-            self.warnings.lock().push(Warning {
-                segment: slot_key.clone(),
-                destination: service.clone(),
-                violations: decision.violations.clone(),
-            });
-        }
+        let warning_index = self.record_warning(service, &slot_key, &decision);
         self.record_flows_and_alerts(
             service,
             &slot_key,
             &matches,
             &decision,
             FlowOperation::Keystroke,
+            warning_index,
         );
         Ok(decision)
     }
@@ -764,19 +754,14 @@ impl BrowserFlow {
             decision.action = self.violation_action();
         }
         let slot_key = SegmentKey::document(doc);
-        if !decision.violations.is_empty() {
-            self.warnings.lock().push(Warning {
-                segment: slot_key.clone(),
-                destination: service.clone(),
-                violations: decision.violations.clone(),
-            });
-        }
+        let warning_index = self.record_warning(service, &slot_key, &decision);
         self.record_flows_and_alerts(
             service,
             &slot_key,
             &matches,
             &decision,
             FlowOperation::Upload,
+            warning_index,
         );
         Ok(decision)
     }
@@ -814,11 +799,33 @@ impl BrowserFlow {
         Ok(UploadDecision { action, violations })
     }
 
+    /// Records a warning for a violating decision and returns its index in
+    /// the warning trail, read under the same lock as the push so that a
+    /// concurrent check cannot slip its own warning in between.
+    fn record_warning(
+        &self,
+        service: &ServiceId,
+        segment: &SegmentKey,
+        decision: &UploadDecision,
+    ) -> Option<u64> {
+        if decision.violations.is_empty() {
+            return None;
+        }
+        let mut warnings = self.warnings.lock();
+        warnings.push(Warning {
+            segment: segment.clone(),
+            destination: service.clone(),
+            violations: decision.violations.clone(),
+        });
+        Some((warnings.len() - 1) as u64)
+    }
+
     /// Lineage bookkeeping for a completed check: records a flow edge for
     /// every cross-service source the checked text disclosed, then — when
-    /// the check violated — walks the graph backwards from each violating
+    /// the check violated, so [`BrowserFlow::record_warning`] returned
+    /// `warning_index` — walks the graph backwards from each violating
     /// edge and raises an [`ExfiltrationAlert`] for every multi-hop chain,
-    /// with a [`ContainmentReceipt`] tying it to the warning trail and the
+    /// with a [`ContainmentReceipt`] tying it to that warning and the
     /// policy audit log.
     fn record_flows_and_alerts(
         &self,
@@ -827,6 +834,7 @@ impl BrowserFlow {
         matches: &[DisclosureMatch],
         decision: &UploadDecision,
         operation: FlowOperation,
+        warning_index: Option<u64>,
     ) {
         let into = sink_segment.to_string();
         let edges: Vec<_> = matches
@@ -843,17 +851,15 @@ impl BrowserFlow {
             })
             .collect();
         self.lineage.record_batch(edges);
-        if decision.violations.is_empty() {
+        let Some(warning_index) = warning_index else {
             return;
-        }
+        };
         let action = match decision.action {
             UploadAction::Allow => "allow",
             UploadAction::Warn => "warn",
             UploadAction::Block => "block",
             UploadAction::Encrypt => "encrypt",
         };
-        // The warning for this violating check was just recorded.
-        let warning_index = (self.warnings.lock().len().max(1) - 1) as u64;
         let audit_len = self.policy.audit_log().len() as u64;
         let config = self.sentinel.config();
         for violation in &decision.violations {
@@ -1713,6 +1719,58 @@ second paragraph about travel reimbursements and the                            
         flow.check_one(&CheckRequest::paragraph("gdocs", "draft", 0, &memo))
             .unwrap();
         assert_eq!(flow.alerts().len(), 1);
+    }
+
+    #[test]
+    fn concurrent_checks_keep_each_receipt_on_its_own_warning() {
+        // One thread uploads relayed memos (each the last hop of a two-hop
+        // chain, so each raises an alert); the other pastes the secrets
+        // directly (ordinary warnings). Their warnings interleave, yet
+        // every receipt must point at the warning its own check recorded.
+        const CHAINS: usize = 300;
+        let flow = flow(EnforcementMode::Block);
+        let mut gen = browserflow_corpus::TextGen::new(27);
+        let secrets: Vec<String> = (0..CHAINS).map(|_| gen.paragraph(3)).collect();
+        let memos: Vec<String> = secrets
+            .iter()
+            .map(|secret| format!("{secret} as summarised for the hiring wiki"))
+            .collect();
+        for (i, (secret, memo)) in secrets.iter().zip(&memos).enumerate() {
+            flow.observe_paragraph(&"itool".into(), &format!("eval{i}"), 0, secret)
+                .unwrap();
+            flow.observe_paragraph(&"wiki".into(), &format!("memo{i}"), 0, memo)
+                .unwrap();
+        }
+        let check_all = |prefix: &str, texts: &[String]| {
+            for (i, text) in texts.iter().enumerate() {
+                let document = format!("{prefix}{i}");
+                flow.check_one(&CheckRequest::paragraph("gdocs", document, 0, text))
+                    .unwrap();
+            }
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| check_all("relay", &memos));
+            scope.spawn(|| check_all("paste", &secrets));
+        });
+
+        let warnings = flow.warnings();
+        let alerts = flow.alerts();
+        assert!(alerts.len() >= CHAINS, "only {} alerts", alerts.len());
+        let mismatched = alerts
+            .iter()
+            .filter(|alert| {
+                warnings[alert.receipt.warning_index as usize]
+                    .segment
+                    .to_string()
+                    != alert.segment
+            })
+            .count();
+        assert_eq!(
+            mismatched,
+            0,
+            "{mismatched} of {} receipts point at another check's warning",
+            alerts.len()
+        );
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //!               u64 sighting_count | sightings...   (v1 record layouts)
 //! ```
 //!
-//! Shards are encoded and decoded in parallel (one worker per shard, the
-//! same crossbeam fan-out as Algorithm 1), and each shard stands alone: a
-//! torn write or bit flip is confined to the shard it hits. The lossy
+//! Shards are encoded and decoded in parallel (contiguous runs of shards
+//! per worker, through [`crate::pool::fan_out`]), and each shard stands
+//! alone: a torn write or bit flip is confined to the shard it hits. The lossy
 //! decoders ([`decode_lossy`], [`FingerprintStore::import_sealed_lossy`])
 //! load every healthy shard and report the damaged ones in a
 //! [`RestoreReport`] instead of failing the whole restore.
@@ -206,7 +206,9 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial) of `bytes`: the checksum
+/// of every store manifest and shard, and of the lineage snapshot.
+pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
@@ -462,35 +464,11 @@ pub(crate) fn encode_v2_parts(
         sighting_buckets[(u64::from(hash) & mask) as usize].push((hash, sighting));
     }
 
-    let encoded: Vec<Result<EncodedShard, CodecError>> = if workers > 1 && shard_count > 1 {
-        let chunk_len = shard_count.div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = segment_buckets
-                .chunks(chunk_len)
-                .zip(sighting_buckets.chunks(chunk_len))
-                .map(|(segments, sightings)| {
-                    scope.spawn(move |_| {
-                        segments
-                            .iter()
-                            .zip(sightings)
-                            .map(|(s, si)| encode_shard_record(store, s, si))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shard encoding must not panic"))
-                .collect()
-        })
-        .expect("scoped encoding threads join cleanly")
-    } else {
-        segment_buckets
-            .iter()
-            .zip(&sighting_buckets)
-            .map(|(s, si)| encode_shard_record(store, s, si))
-            .collect()
-    };
+    let shards: Vec<usize> = (0..shard_count).collect();
+    let encoded = crate::pool::fan_out(&shards, workers, |&shard| {
+        encode_shard_record(store, &segment_buckets[shard], &sighting_buckets[shard])
+    })
+    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
     let encoded: Vec<EncodedShard> = encoded.into_iter().collect::<Result<_, _>>()?;
 
     let metas: Vec<ShardMeta> = encoded
@@ -680,7 +658,8 @@ pub(crate) fn assemble_from_parts<R: AsRef<[u8]> + Sync>(
     let mask = (shard_count - 1) as u64;
     let store = FingerprintStore::new();
 
-    let restore_shard = |shard: usize| -> Result<(), CodecError> {
+    let shards: Vec<usize> = (0..shard_count).collect();
+    let results = crate::pool::fan_out(&shards, workers, |&shard| -> Result<(), CodecError> {
         let meta = &manifest.shards[shard];
         let Some(bytes) = regions[shard].as_ref() else {
             return Err(CodecError::Truncated);
@@ -693,40 +672,12 @@ pub(crate) fn assemble_from_parts<R: AsRef<[u8]> + Sync>(
             store.restore_sighting(hash, segment, time);
         }
         Ok(())
-    };
-
-    let mut results: Vec<(usize, Result<(), CodecError>)> = if workers > 1 && shard_count > 1 {
-        let indices: Vec<usize> = (0..shard_count).collect();
-        let chunk_len = shard_count.div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            let restore_shard = &restore_shard;
-            let handles: Vec<_> = indices
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move |_| {
-                        chunk
-                            .iter()
-                            .map(|&shard| (shard, restore_shard(shard)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shard decoding must not panic"))
-                .collect()
-        })
-        .expect("scoped decoding threads join cleanly")
-    } else {
-        (0..shard_count)
-            .map(|shard| (shard, restore_shard(shard)))
-            .collect()
-    };
-    results.sort_unstable_by_key(|(shard, _)| *shard);
+    })
+    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
 
     let mut report = RestoreReport::default();
     let mut first_error = None;
-    for (shard, result) in results {
+    for (shard, result) in results.into_iter().enumerate() {
         match result {
             Ok(()) => report.loaded_shards += 1,
             Err(error) => {

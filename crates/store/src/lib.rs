@@ -649,7 +649,10 @@ impl FingerprintStore {
     /// paths never probe.
     pub(crate) fn rebuild_authoritative_index(&self, workers: usize) {
         let ids = self.segments.ids();
-        let rebuild_one = |id: SegmentId| {
+        // Small stores rebuild inline: under four segments per worker the
+        // thread start-up outweighs the probes.
+        let workers = if ids.len() >= workers * 4 { workers } else { 1 };
+        crate::pool::fan_out(&ids, workers, |&id| {
             let Some(stored) = self.segment(id) else {
                 return;
             };
@@ -660,18 +663,8 @@ impl FingerprintStore {
                 .filter(|&hash| self.oldest_segment_with(hash) == Some(id))
                 .collect();
             self.segments.set_authoritative(id, owned);
-        };
-        if workers > 1 && ids.len() >= workers * 4 {
-            let chunk_len = ids.len().div_ceil(workers);
-            crossbeam::thread::scope(|scope| {
-                for chunk in ids.chunks(chunk_len) {
-                    scope.spawn(move |_| chunk.iter().copied().for_each(rebuild_one));
-                }
-            })
-            .expect("index rebuild threads join cleanly");
-        } else {
-            ids.into_iter().for_each(rebuild_one);
-        }
+        })
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
     }
 }
 

@@ -221,41 +221,10 @@ fn encode_v3_parts(
         })
         .collect();
 
-    let encoded: Vec<Result<Vec<u8>, CodecError>> = if workers > 1 && shard_count > 1 {
-        let chunk_len = shard_count.div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = snapshots
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move |_| {
-                        chunk
-                            .iter()
-                            .map(|(index, segments, sightings)| {
-                                crate::tier::encode_v3_shard(
-                                    *index,
-                                    shard_count,
-                                    segments,
-                                    sightings,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shard encoding must not panic"))
-                .collect()
-        })
-        .expect("scoped encoding threads join cleanly")
-    } else {
-        snapshots
-            .iter()
-            .map(|(index, segments, sightings)| {
-                crate::tier::encode_v3_shard(*index, shard_count, segments, sightings)
-            })
-            .collect()
-    };
+    let encoded = crate::pool::fan_out(&snapshots, workers, |(index, segments, sightings)| {
+        crate::tier::encode_v3_shard(*index, shard_count, segments, sightings)
+    })
+    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
 
     let mut records = Vec::with_capacity(shard_count);
     let mut metas = Vec::with_capacity(shard_count);
@@ -511,7 +480,7 @@ impl StoreOpenOptions {
         }
         let shards = open_cold_shards(dir, &manifest, self.worker_count());
         let mut report = RestoreReport::default();
-        for (index, result) in shards {
+        for (index, result) in shards.into_iter().enumerate() {
             match result {
                 Ok(None) => report.loaded_shards += 1,
                 Ok(Some(cold)) => {
@@ -570,49 +539,18 @@ type ColdOpenResult = Result<Option<Arc<ColdShard>>, CodecError>;
 
 /// Opens every non-empty shard file of a v3 directory in parallel,
 /// returning each shard's [`ColdOpenResult`] in index order.
-fn open_cold_shards(
-    dir: &Path,
-    manifest: &Manifest,
-    workers: usize,
-) -> Vec<(usize, ColdOpenResult)> {
+fn open_cold_shards(dir: &Path, manifest: &Manifest, workers: usize) -> Vec<ColdOpenResult> {
     let shard_count = manifest.shards.len();
-    let open_one = |index: usize| -> ColdOpenResult {
+    let indices: Vec<usize> = (0..shard_count).collect();
+    crate::pool::fan_out(&indices, workers, |&index| {
         let meta = &manifest.shards[index];
         if meta.byte_len == 0 {
             return Ok(None);
         }
         ColdShard::open(&dir.join(shard_file(index)), index, shard_count, meta)
             .map(|shard| Some(Arc::new(shard)))
-    };
-    let mut results: Vec<(usize, ColdOpenResult)> = if workers > 1 && shard_count > 1 {
-        let indices: Vec<usize> = (0..shard_count).collect();
-        let chunk_len = shard_count.div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            let open_one = &open_one;
-            let handles: Vec<_> = indices
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move |_| {
-                        chunk
-                            .iter()
-                            .map(|&index| (index, open_one(index)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shard mapping must not panic"))
-                .collect()
-        })
-        .expect("scoped mapping threads join cleanly")
-    } else {
-        (0..shard_count)
-            .map(|index| (index, open_one(index)))
-            .collect()
-    };
-    results.sort_unstable_by_key(|(index, _)| *index);
-    results
+    })
+    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// The cold open: map every shard file, validate it once, and attach the
@@ -633,7 +571,7 @@ fn open_cold_dir(
     let mut metas = manifest.shards.clone();
     let shards = open_cold_shards(dir, &manifest, crate::disclosure::default_workers());
     let mut report = RestoreReport::default();
-    for (index, result) in shards {
+    for (index, result) in shards.into_iter().enumerate() {
         match result {
             Ok(None) => report.loaded_shards += 1,
             Ok(Some(cold)) => {

@@ -1,4 +1,6 @@
-//! A persistent worker pool for the candidate-evaluation fan-out.
+//! The store's parallelism: a persistent worker pool for the
+//! candidate-evaluation fan-out, and [`fan_out`], the scoped chunked
+//! fan-out behind the codec, persistence, restore and batch-check paths.
 //!
 //! The parallel path of Algorithm 1 used to spawn fresh scoped threads on
 //! *every* check — at the paper's per-upload check rate that is a
@@ -15,8 +17,10 @@
 //! block on the pool themselves, so the shared queue cannot deadlock.
 
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex, OnceLock};
+use std::thread;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -98,6 +102,51 @@ impl WorkerPool {
     }
 }
 
+/// Maps `f` over `items` on up to `workers` scoped threads and returns
+/// the results in item order.
+///
+/// The items are split into contiguous chunks of
+/// `items.len().div_ceil(workers)` items, one thread per chunk, so at most
+/// `workers` threads run. With `workers <= 1` or fewer than two items, `f`
+/// runs inline on the calling thread instead.
+///
+/// # Errors
+///
+/// Returns the payload of the first panicking chunk (in item order), or
+/// of the inline run. Every chunk is joined before this returns, so no
+/// thread outlives the call.
+pub fn fan_out<T, R, F>(items: &[T], workers: usize, f: F) -> thread::Result<Vec<R>>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    if workers <= 1 || items.len() < 2 {
+        // Contained as on the threaded path, where `join` hands back a
+        // chunk's panic without asking for unwind safety either.
+        return panic::catch_unwind(AssertUnwindSafe(|| items.iter().map(&f).collect()));
+    }
+    let chunk_len = items.len().div_ceil(workers);
+    let f = &f;
+    thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk_len)
+            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        let mut results = Vec::with_capacity(items.len());
+        let mut first_panic = None;
+        for handle in handles {
+            match handle.join() {
+                Ok(chunk) => results.extend(chunk),
+                Err(payload) => {
+                    first_panic.get_or_insert(payload);
+                }
+            }
+        }
+        first_panic.map_or(Ok(results), Err)
+    })
+}
+
 fn worker_loop(shared: &'static Shared) {
     loop {
         let job = {
@@ -153,5 +202,58 @@ mod tests {
     fn empty_scatter_returns_immediately() {
         let results: Vec<u32> = WorkerPool::global().scatter(Vec::<fn() -> u32>::new());
         assert!(results.is_empty());
+    }
+
+    #[test]
+    fn fan_out_preserves_order_across_chunk_boundaries() {
+        // 10 items over 3 workers: chunks of 4, 4 and 2.
+        let items: Vec<usize> = (0..10).collect();
+        let results = fan_out(&items, 3, |&i| (i, thread::current().id())).unwrap();
+        assert_eq!(results.iter().map(|&(i, _)| i).collect::<Vec<_>>(), items);
+        let threads: Vec<_> = results.iter().map(|&(_, id)| id).collect();
+        assert_eq!(threads[0], threads[3]);
+        assert_ne!(threads[3], threads[4]);
+        assert_ne!(threads[7], threads[8]);
+        assert!(!threads.contains(&thread::current().id()));
+    }
+
+    #[test]
+    fn fan_out_accepts_more_workers_than_items() {
+        let items = [1u32, 2, 3];
+        assert_eq!(fan_out(&items, 64, |&x| x * 10).unwrap(), vec![10, 20, 30]);
+    }
+
+    #[test]
+    fn fan_out_runs_inline_for_one_worker() {
+        let caller = thread::current().id();
+        let items: Vec<u32> = (0..8).collect();
+        let results = fan_out(&items, 1, |_| thread::current().id()).unwrap();
+        assert!(results.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn fan_out_of_nothing_is_empty() {
+        let results = fan_out(&[] as &[u32], 4, |&x| x).unwrap();
+        assert!(results.is_empty());
+    }
+
+    #[test]
+    fn fan_out_reports_a_panic_after_joining_every_chunk() {
+        // Chunk 0 panics at once; the other three chunks finish slowly.
+        // The error must not come back before they have all run.
+        let finished = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..8).collect();
+        let result = fan_out(&items, 4, |&i| {
+            if i == 0 {
+                panic!("item {i} failed");
+            }
+            if i >= 2 {
+                thread::sleep(std::time::Duration::from_millis(20));
+                finished.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        let payload = result.unwrap_err();
+        assert_eq!(finished.load(Ordering::SeqCst), 6);
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), "item 0 failed");
     }
 }

@@ -3,10 +3,10 @@
 //! interesting failures live a few mutations away from valid bytes, not
 //! in random noise).
 //!
-//! The wire and state-metadata seeds come from a real session: an
-//! in-process `bfd` serves one tenant's create → observe → check →
-//! stats → drain, and every frame body plus the drained metadata become
-//! seeds. The few run-dependent values (reply latencies, the state
+//! The wire, state-metadata and lineage seeds come from a real session:
+//! an in-process `bfd` serves one tenant's create → observe → check →
+//! stats → drain, and every frame body, the drained metadata and the
+//! drained tenant's lineage snapshot become seeds. The few run-dependent values (reply latencies, the state
 //! path, the seal's nonce) are pinned, so a rerun rewrites every seed
 //! byte-identically.
 //!
@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use browserflow::STATE_METADATA_FILE;
+use browserflow::{BrowserFlow, STATE_METADATA_FILE};
 use browserflow_daemon::protocol::write_frame;
 use browserflow_daemon::{Daemon, DaemonClient, DaemonConfig, ParagraphSlot, Reply, Request};
 use browserflow_fuzz::{
@@ -49,11 +49,13 @@ fn mode_seed(mode: u8, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Every request and reply body one tenant's life exchanged with an
-/// in-process `bfd`, and the metadata JSON its tiered drain sealed.
+/// in-process `bfd`, the metadata JSON its tiered drain sealed, and the
+/// `BFLG` lineage snapshot the drained state restores to.
 struct Session {
     requests: Vec<(&'static str, Vec<u8>)>,
     replies: Vec<(&'static str, Vec<u8>)>,
     metadata_json: Vec<u8>,
+    lineage: Vec<u8>,
 }
 
 /// Pins the run-dependent fields of a reply: the measured latency, and
@@ -171,16 +173,19 @@ fn record_session() -> Session {
         replies.push((name, serde_json::to_vec(&reply).expect("reply encodes")));
     }
     server.join().expect("bfd drains and exits");
-    let sealed_metadata =
-        fs::read(root.join("state").join("fuzz").join(STATE_METADATA_FILE)).expect("drained");
+    let state = root.join("state").join("fuzz");
+    let sealed_metadata = fs::read(state.join(STATE_METADATA_FILE)).expect("drained");
     let metadata_json = key
         .unseal(&SealedBytes::from_bytes(&sealed_metadata).expect("sealed metadata"))
         .expect("metadata unseals");
+    let (flow, _) = BrowserFlow::load_from_dir(key, &state).expect("drained state restores");
+    let lineage = flow.lineage_snapshot();
     let _ = fs::remove_dir_all(&root);
     Session {
         requests,
         replies,
         metadata_json,
+        lineage,
     }
 }
 
@@ -248,6 +253,17 @@ fn main() {
     // `load_from_dir` reads, minus the drain's random nonce.
     let sealed = StoreKey::from_bytes(STATE_KEY).seal_with_nonce(1, &session.metadata_json);
     write_seed(&dir, "sealed-file", &mode_seed(2, &sealed.to_bytes()));
+
+    println!("fuzz_lineage_snapshot seeds (the lineage of a real bfd drain):");
+    let dir = corpus_dir("fuzz_lineage_snapshot");
+    assert!(
+        !session.lineage.is_empty(),
+        "the session's check records lineage"
+    );
+    write_seed(&dir, "drained-lineage", &mode_seed(0, &session.lineage));
+    // Mode 1 appends the CRC itself: the same snapshot minus its trailer.
+    let (unchecked, _crc) = session.lineage.split_at(session.lineage.len() - 4);
+    write_seed(&dir, "drained-lineage-recrc", &mode_seed(1, unchecked));
 
     println!("fuzz_incremental_edits seeds (hand-laid edit scripts):");
     let dir = corpus_dir("fuzz_incremental_edits");

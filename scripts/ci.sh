@@ -16,9 +16,10 @@
 #      scalar kernel (BF_FORCE_SCALAR=1) and on the runtime-detected
 #      native kernel, so the SIMD and scalar paths both pass the full
 #      unit + proptest suite on every host
-#   8. a bounded fuzz smoke of all four fuzz targets (store codec,
-#      wire request/reply/frame decode and restored state metadata on
-#      arbitrary bytes; incremental-vs-full fingerprint equivalence):
+#   8. a bounded fuzz smoke of all five fuzz targets (store codec,
+#      wire request/reply/frame decode, restored state metadata and the
+#      lineage snapshot on arbitrary bytes; incremental-vs-full
+#      fingerprint equivalence):
 #      through `cargo fuzz` when a nightly toolchain with cargo-fuzz is
 #      installed, otherwise directly against the vendored
 #      libfuzzer-sys stand-in binaries
@@ -47,22 +48,26 @@
 #      regenerates BENCH_decode.json and asserts JSON decode ns/byte on a
 #      128-paragraph Check frame stays <= 2x the value on an
 #      8-paragraph frame; skipped loudly if the release binary is absent
-#  14. a daemon smoke test: boot a release bfd on a temp socket, drive it
+#  14. a release-mode run of the concurrency bench, which regenerates
+#      BENCH_concurrent.json (async batch-vs-sequential round trip, store
+#      counters) and asserts a 32-paragraph request reaches the decider
+#      as one batch
+#  15. a daemon smoke test: boot a release bfd on a temp socket, drive it
 #      with bfctl daemon (create -> observe -> check -> stats) including
 #      a multi-paragraph --stdin observe that ships one ObserveBatch
 #      frame, SIGTERM it, and assert clean exit plus a persisted tenant
 #      state directory that a second bfd restores
-#  15. a kill -9 durability smoke: boot bfd with --snapshot-interval,
+#  16. a kill -9 durability smoke: boot bfd with --snapshot-interval,
 #      drive a cross-service flow, wait past one interval, kill -9 the
 #      daemon, and assert a rebinding bfd restores the tenant with the
 #      check still blocking and the lineage graph intact (at most one
 #      interval of work may be lost)
-#  16. the exfiltration-sentinel covert-flow corpus, which regenerates
+#  17. the exfiltration-sentinel covert-flow corpus, which regenerates
 #      BENCH_sentinel.json and gates on recall >= 0.9 and precision
 #      >= 0.8 (override with BF_SENTINEL_RECALL_FLOOR /
 #      BF_SENTINEL_PRECISION_FLOOR); skipped loudly if the release
 #      binary is absent
-#  17. a smoke run of the end-to-end `bfd` benchmark (all four
+#  18. a smoke run of the end-to-end `bfd` benchmark (all four
 #      BENCHMARK.json workloads, scaled down), which must report every
 #      verdict correct and no failed operation
 #
@@ -165,7 +170,7 @@ echo "==> fingerprint suite on the native kernel"
 # …and again on whatever kernel this host dispatches to natively.
 cargo test -q -p browserflow-fingerprint
 
-echo "==> bounded fuzz smoke (store codec, wire decode, state metadata, incremental edits)"
+echo "==> bounded fuzz smoke (store codec, wire decode, state metadata, lineage snapshot, incremental edits)"
 # Prefers real cargo-fuzz (nightly + sanitizer + coverage feedback) when
 # installed; otherwise falls back to the vendored libfuzzer-sys stand-in,
 # which replays the checked-in seed corpora and runs bounded mutation
@@ -174,6 +179,7 @@ if cargo +nightly fuzz --version >/dev/null 2>&1; then
     cargo +nightly fuzz run fuzz_store_codec -- -runs=512
     cargo +nightly fuzz run fuzz_wire_decode -- -runs=512
     cargo +nightly fuzz run fuzz_state_metadata -- -runs=512
+    cargo +nightly fuzz run fuzz_lineage_snapshot -- -runs=512
     cargo +nightly fuzz run fuzz_incremental_edits -- -runs=512
 else
     echo 'WARNING: cargo-fuzz/nightly not installed — running the fuzz targets' >&2
@@ -185,6 +191,8 @@ else
         -runs=2048 fuzz/corpus/fuzz_wire_decode
     cargo run -q --release -p browserflow-fuzz --bin fuzz_state_metadata -- \
         -runs=2048 fuzz/corpus/fuzz_state_metadata
+    cargo run -q --release -p browserflow-fuzz --bin fuzz_lineage_snapshot -- \
+        -runs=2048 fuzz/corpus/fuzz_lineage_snapshot
     cargo run -q --release -p browserflow-fuzz --bin fuzz_incremental_edits -- \
         -runs=2048 fuzz/corpus/fuzz_incremental_edits
 fi
@@ -242,6 +250,12 @@ else
     echo 'WARNING: gate was SKIPPED. Run cargo build --release and re-run ci.sh' >&2
     echo 'WARNING: for full coverage.' >&2
 fi
+
+echo "==> concurrency bench (release)"
+# Regenerates BENCH_concurrent.json; the binary asserts the batched
+# 32-paragraph request reaches the decider as one batch (max_batch == 32).
+# The round-trip timings are reported, not gated.
+cargo run -q --release -p browserflow-bench --bin bench_concurrent
 
 echo "==> daemon smoke test (bfd + bfctl daemon, SIGTERM drain, restore)"
 # Boot a release bfd on a temp socket, drive the full tenant lifecycle
